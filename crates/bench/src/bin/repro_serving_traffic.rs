@@ -5,9 +5,8 @@
 //! machine-readable summary committed as `BENCH_pr10.json`.
 //!
 //! The process exits nonzero unless the scheduling invariants hold: zero
-//! priority inversions, no starved tenant, at least one speculative
-//! warm-tier hit, and every served artifact bit-identical to a
-//! fresh-compile reference.
+//! priority inversions, no starved tenant, and every served artifact
+//! bit-identical to a fresh-compile reference.
 //!
 //! Usage: `cargo run --release --bin repro_serving_traffic [-- output.json]`
 
@@ -54,14 +53,6 @@ fn main() {
         stats.priority_inversions,
         stats.shed,
         result.slot_utilization * 100.0
-    );
-    println!(
-        "prefetch: issued={} warmed={} dropped={} hits={} (warm-hit share {:.1}%)",
-        stats.prefetch_issued,
-        stats.prefetch_warmed,
-        stats.prefetch_dropped,
-        stats.prefetch_hits,
-        result.prefetch_hit_share * 100.0
     );
     println!("determinism: {} mismatches", result.mismatches);
 

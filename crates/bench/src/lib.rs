@@ -14,7 +14,6 @@ pub mod ablation;
 pub mod checks;
 pub mod compile_time;
 pub mod cost_model;
-pub mod datalayout;
 pub mod end_to_end;
 pub mod fastpath;
 pub mod moe_bench;
@@ -59,41 +58,21 @@ pub fn write_output(path: &str, contents: &str) -> std::io::Result<()> {
     std::fs::write(path, contents)
 }
 
-/// Prints the hit/miss/eviction statistics of every memo tier the synthesis
-/// pipeline maintains — the *shared* sharded maps (simulator index tables,
-/// the cost model's per-operation and whole-candidate estimates, kernel
-/// artifacts) and the *lossy* thread-local direct-mapped tables sitting in
-/// front of them — each exercised on a small GEMM — plus the process-wide
-/// worker-pool counters (jobs, items, cancelled subtrees, deaths/respawns).
-/// Every `repro_*` binary calls this in its summary.
+/// Prints the hit/miss/eviction statistics of every memo the synthesis
+/// pipeline maintains — the sharded maps behind the simulator index tables
+/// and the cost model's per-operation and whole-candidate estimates, plus
+/// the kernel-artifact cache — each exercised on a small GEMM, and the
+/// process-wide worker-pool counters (jobs, items, cancelled subtrees,
+/// deaths/respawns). Every `repro_*` binary calls this in its summary.
 ///
 /// The exercise's cache-hit invariants are *verified*, not just printed:
-/// the second pass must hit the simulator-table and per-op cost memos in
-/// *some* tier (with the lossy tier enabled the thread-local table absorbs
-/// the warm hits before the shared map is even consulted), the second
-/// compile of the unchanged program must be an artifact-cache memory hit,
-/// and — when the lossy tier is enabled — the warm repeat must produce a
-/// nonzero lossy hit rate. A violation fails the binary through
+/// the second pass must hit the simulator-table and per-op cost memos, and
+/// the second compile of the unchanged program must be an artifact-cache
+/// memory hit. A violation fails the binary through
 /// [`checks::exit_if_failed`].
 pub fn print_shared_cache_summary() {
-    use hexcute_parallel::lossy::{self, LossyPurpose};
-
-    let lossy_before: Vec<_> = lossy::LOSSY_PURPOSES
-        .iter()
-        .map(|&p| lossy::lossy_stats(p))
-        .collect();
     let (tables, op_costs, candidate_costs) = fastpath::shared_cache_stats();
     let artifacts = fastpath::artifact_cache_stats();
-    let lossy_delta = |purpose: LossyPurpose| {
-        let before = lossy_before[purpose.index()];
-        let after = lossy::lossy_stats(purpose);
-        hexcute_parallel::cache::CacheStats {
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-            evictions: after.evictions - before.evictions,
-            entries: after.entries,
-        }
-    };
     println!("\nShared cache behaviour (synthetic small-GEMM exercise, two passes each):");
     println!("  simulator index tables:    {tables}");
     println!("  per-op cost estimates:     {op_costs}");
@@ -103,39 +82,18 @@ pub fn print_shared_cache_summary() {
         "Worker pool (process lifetime): {}",
         hexcute_parallel::pool_stats()
     );
-    let lossy_on = lossy::lossy_memo_enabled();
-    println!(
-        "Lossy direct-mapped front tier ({}, this exercise only):",
-        if lossy_on { "enabled" } else { "disabled" }
-    );
-    let mut lossy_exercise = hexcute_parallel::cache::CacheStats::default();
-    for &purpose in &lossy::LOSSY_PURPOSES {
-        let delta = lossy_delta(purpose);
-        println!("  {:<26} {delta}", format!("{}:", purpose.label()));
-        lossy_exercise = lossy_exercise.merged(&delta);
-    }
-    let lossy_sim = lossy_delta(LossyPurpose::SimCopy)
-        .merged(&lossy_delta(LossyPurpose::SimTv))
-        .merged(&lossy_delta(LossyPurpose::SimGather));
-    let lossy_ops = lossy_delta(LossyPurpose::OpCost);
     checks::check(
-        tables.hits + lossy_sim.hits > 0,
-        "the second simulation pass produced no index-table hits in either tier",
+        tables.hits > 0,
+        "the second simulation pass produced no index-table hits",
     );
     checks::check(
-        op_costs.hits + lossy_ops.hits > 0,
-        "the second scoring pass produced no per-op cost-cache hits in either tier",
+        op_costs.hits > 0,
+        "the second scoring pass produced no per-op cost-cache hits",
     );
     checks::check(
         artifacts.memory.hits >= 1,
         "the second compile of an unchanged program was not an artifact-cache hit",
     );
-    if lossy_on {
-        checks::check(
-            lossy_exercise.hits > 0,
-            "the warm repeat produced no lossy-memo hits with the lossy tier enabled",
-        );
-    }
 }
 
 /// Geometric mean of a slice of positive numbers.

@@ -865,10 +865,6 @@ pub struct KernelCacheStats {
     /// Atomic-rename races lost to a concurrent writer of the same artifact
     /// (benign: the other writer's bit-identical file stands).
     pub rename_races: u64,
-    /// Artifacts placed in the warm (memory) tier by speculative prefetch
-    /// ([`KernelCache::prefetch_with`] syntheses plus prefetch-triggered
-    /// disk promotions) rather than by a demand request.
-    pub prefetch_stores: u64,
     /// Disk operations skipped because the circuit breaker was open.
     pub breaker_skips: u64,
     /// Times the breaker tripped into memory-only mode.
@@ -886,7 +882,7 @@ impl fmt::Display for KernelCacheStats {
             "memory: {}; disk: {} hits / {} misses, {} stored, {} resident, \
              {} corrupt, {} stale-version, {} expired, {} pruned, \
              {} quarantined, {} write-failures, {} rename-races; \
-             {} prefetch-stores; breaker: {} ({} trips, {} recoveries, {} skips)",
+             breaker: {} ({} trips, {} recoveries, {} skips)",
             self.memory,
             self.disk_hits,
             self.disk_misses,
@@ -899,7 +895,6 @@ impl fmt::Display for KernelCacheStats {
             self.quarantined,
             self.write_failures,
             self.rename_races,
-            self.prefetch_stores,
             if self.breaker_open { "open" } else { "closed" },
             self.breaker_trips,
             self.breaker_recoveries,
@@ -939,7 +934,6 @@ pub struct KernelCache {
     quarantined: AtomicU64,
     write_failures: AtomicU64,
     rename_races: AtomicU64,
-    prefetch_stores: AtomicU64,
     breaker_skips: AtomicU64,
 }
 
@@ -972,7 +966,6 @@ impl KernelCache {
             quarantined: AtomicU64::new(0),
             write_failures: AtomicU64::new(0),
             rename_races: AtomicU64::new(0),
-            prefetch_stores: AtomicU64::new(0),
             breaker_skips: AtomicU64::new(0),
         }
     }
@@ -1174,66 +1167,6 @@ impl KernelCache {
         }
     }
 
-    /// Whether `fingerprint` is already warm — resident **and unexpired** in
-    /// the memory tier — without promoting, loading or touching any hit/miss
-    /// counter. The speculative-prefetch predictor probes with this so its
-    /// speculation never distorts the demand-path hit rate; TTL-expired
-    /// entries read as cold so they are eligible for re-warming.
-    pub fn peek_memory(&self, fingerprint: u64) -> bool {
-        match self.memory.peek(&fingerprint) {
-            Some((_, inserted)) => match self.config.ttl {
-                Some(ttl) => inserted.elapsed() < ttl,
-                None => true,
-            },
-            None => false,
-        }
-    }
-
-    /// Speculatively warms `fingerprint`: promotes an on-disk artifact into
-    /// the memory tier (cheap JSON load) or — when `synthesize` produces one
-    /// — inserts a freshly synthesized artifact through the ordinary
-    /// crash-consistent [`KernelCache::insert`] path. Returns whether the
-    /// fingerprint is warm afterwards. Either way the work is attributed to
-    /// [`KernelCacheStats::prefetch_stores`], not to the demand counters a
-    /// serving dashboard watches.
-    ///
-    /// `synthesize` runs only on a full miss (not on disk promotions), and
-    /// may return `None` (e.g. a cancelled speculative compile), which
-    /// leaves the cache untouched.
-    pub fn prefetch_with(
-        &self,
-        fingerprint: u64,
-        synthesize: impl FnOnce() -> Option<Arc<KernelArtifact>>,
-    ) -> bool {
-        if self.peek_memory(fingerprint) {
-            return true;
-        }
-        // Disk promotion, bypassing `get` so the speculative probe is never
-        // attributed to the demand-path disk hit/miss counters (defect
-        // counters — corrupt, stale, expired — still apply; those are real).
-        if let Some(path) = self.artifact_path(fingerprint) {
-            if !self.breaker.is_open() {
-                if let Some(artifact) = self.load(&path, fingerprint) {
-                    let artifact = Arc::new(artifact);
-                    self.memory.insert(fingerprint, (artifact, Instant::now()));
-                    self.prefetch_stores.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-            }
-        }
-        if self.peek_memory(fingerprint) {
-            // Lost a race with a concurrent demand insert: already warm.
-            return true;
-        }
-        let Some(artifact) = synthesize() else {
-            return false;
-        };
-        debug_assert_eq!(artifact.fingerprint, fingerprint);
-        self.insert(artifact);
-        self.prefetch_stores.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
     /// Writes `bytes` and fsyncs before returning, so the subsequent rename
     /// never publishes a file whose content could still be lost to a crash.
     fn write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
@@ -1314,7 +1247,6 @@ impl KernelCache {
             quarantined: self.quarantined.load(Ordering::Relaxed),
             write_failures: self.write_failures.load(Ordering::Relaxed),
             rename_races: self.rename_races.load(Ordering::Relaxed),
-            prefetch_stores: self.prefetch_stores.load(Ordering::Relaxed),
             breaker_skips: self.breaker_skips.load(Ordering::Relaxed),
             breaker_trips: self.breaker.trips.load(Ordering::Relaxed),
             breaker_recoveries: self.breaker.recoveries.load(Ordering::Relaxed),

@@ -5,8 +5,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use crate::cache::{ArtifactSource, KernelArtifact, KernelCache};
 
 use hexcute_arch::GpuArch;
@@ -192,7 +190,6 @@ impl From<SynthesisError> for CompileError {
 pub struct Compiler {
     arch: GpuArch,
     options: CompilerOptions,
-    cache: Mutex<HashMap<String, CompiledKernel>>,
 }
 
 impl Compiler {
@@ -202,17 +199,12 @@ impl Compiler {
         Compiler {
             arch,
             options: CompilerOptions::new(),
-            cache: Mutex::new(HashMap::new()),
         }
     }
 
     /// Creates a compiler with explicit options.
     pub fn with_options(arch: GpuArch, options: CompilerOptions) -> Self {
-        Compiler {
-            arch,
-            options,
-            cache: Mutex::new(HashMap::new()),
-        }
+        Compiler { arch, options }
     }
 
     /// The target architecture.
@@ -226,10 +218,9 @@ impl Compiler {
     }
 
     /// Compiles a program: synthesizes candidate layouts and instructions,
-    /// ranks them, and lowers the selected candidate.
-    ///
-    /// Results are cached by kernel name, so repeated compilations of the
-    /// same kernel (e.g. inside the end-to-end serving loop) are free.
+    /// ranks them, and lowers the selected candidate. Every call compiles
+    /// from scratch; callers that want reuse go through a [`KernelCache`]
+    /// (see [`Compiler::compile_with_cache`]).
     ///
     /// # Errors
     ///
@@ -241,10 +232,9 @@ impl Compiler {
     /// [`Compiler::compile`] with a cooperative [`CancelToken`]: the token is
     /// polled at row granularity by the synthesis walks and at job
     /// granularity by the scoring fan-out, so a cancel aborts the compile
-    /// promptly with a typed [`CompileError::Cancelled`]. A cancelled
-    /// compile is never inserted into the name-keyed memo — reissuing the
-    /// request recompiles from scratch and yields the exact same result a
-    /// never-cancelled compile would.
+    /// promptly with a typed [`CompileError::Cancelled`]. Reissuing a
+    /// cancelled request recompiles from scratch and yields the exact same
+    /// result a never-cancelled compile would.
     ///
     /// # Errors
     ///
@@ -255,16 +245,9 @@ impl Compiler {
         program: &Program,
         token: Option<&CancelToken>,
     ) -> Result<CompiledKernel, CompileError> {
-        let key = format!("{}::{}", self.arch.name, program.name);
-        if let Some(hit) = self.cache.lock().get(&key) {
-            if hit.program == *program {
-                return Ok(hit.clone());
-            }
-        }
         let start = Instant::now();
         if self.prunes() {
             if let Some(compiled) = self.compile_pruned(program, token, start)? {
-                self.cache.lock().insert(key, compiled.clone());
                 return Ok(compiled);
             }
         }
@@ -310,16 +293,14 @@ impl Compiler {
             selection_quality,
             compile_time_ms: start.elapsed().as_secs_f64() * 1e3,
         };
-        let compiled = CompiledKernel {
+        Ok(CompiledKernel {
             program: program.clone(),
             candidate,
             lowered,
             cost,
             perf,
             stats,
-        };
-        self.cache.lock().insert(key, compiled.clone());
-        Ok(compiled)
+        })
     }
 
     /// Whether [`Compiler::compile`] takes the branch-and-bound pruned
@@ -645,12 +626,19 @@ mod tests {
     }
 
     #[test]
-    fn cache_returns_identical_results() {
+    fn repeated_compiles_are_deterministic() {
+        // The compiler keeps no results between calls, so the second
+        // compile reruns synthesis, scoring and lowering from scratch.
         let compiler = Compiler::new(GpuArch::h100());
         let program = gemm_program();
         let first = compiler.compile(&program).unwrap();
         let second = compiler.compile(&program).unwrap();
         assert_eq!(first.candidate, second.candidate);
+        assert_eq!(first.lowered, second.lowered);
+        // `Debug` prints each f64 in its shortest round-trip form, so equal
+        // strings mean equal bits.
+        assert_eq!(format!("{:?}", first.cost), format!("{:?}", second.cost));
+        assert_eq!(format!("{:?}", first.perf), format!("{:?}", second.perf));
         assert_eq!(
             first.stats.candidates_explored,
             second.stats.candidates_explored

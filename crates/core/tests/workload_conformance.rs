@@ -11,9 +11,6 @@
 //!   (`HEXCUTE_DISABLE_INCREMENTAL` / `SynthesisOptions::incremental`),
 //! * worker counts 1 and 4 (`HEXCUTE_THREADS` /
 //!   `SynthesisOptions::parallel_workers`),
-//! * lossy direct-mapped memo tier on/off (`HEXCUTE_DISABLE_LOSSY_MEMO` /
-//!   `hexcute_parallel::lossy::set_lossy_memo`), crossed with the fast-path
-//!   and worker-count axes,
 //! * deterministic node budgets (`HEXCUTE_SYNTH_BUDGET` /
 //!   `SynthesisOptions::node_budget`): a budget covering the full space is
 //!   bit-identical to the exhaustive search, and a small budget truncates
@@ -312,8 +309,8 @@ fn assert_winner_equal(
 
 /// The prune axis of the matrix: exact branch-and-bound must pick the same
 /// winner — same candidate, same cost bits, same perf bits, same emitted
-/// artifact — as the exhaustive ranking, across fast-path on/off × lossy
-/// on/off × {1, 4} workers.
+/// artifact — as the exhaustive ranking, across fast-path on/off × {1, 4}
+/// workers.
 fn assert_prune_conformance(workload: &Workload, arch: &GpuArch) {
     if !workload.supports(arch) {
         return;
@@ -327,25 +324,20 @@ fn assert_prune_conformance(workload: &Workload, arch: &GpuArch) {
         assert_winner_equal(label, &program, &reference, &pruned);
     }
 
-    // Fast path × lossy memo off-cells (the on×on cells ran above). The
-    // switches are process-global, so hold the lock while they are flipped.
+    // Fast-path-off cells (the fast-path-on cells ran above). The switch is
+    // process-global, so hold the lock while it is flipped.
     {
         let _guard = FASTPATH_LOCK.lock().unwrap();
         let was_fast = hexcute_layout::fast_path_enabled();
-        let was_lossy = hexcute_parallel::lossy::lossy_memo_enabled();
+        hexcute_layout::set_fast_path(false);
         let mut runs = Vec::new();
-        for (fast, lossy) in [(false, true), (false, false), (true, false)] {
-            hexcute_layout::set_fast_path(fast);
-            hexcute_parallel::lossy::set_lossy_memo(lossy);
-            for (workers, depth) in [(1, Some(0)), (4, None)] {
-                runs.push((
-                    format!("prune/fast={fast}/lossy={lossy}/{workers}-workers"),
-                    compile_pruned_config(&program, arch, true, workers, depth),
-                ));
-            }
+        for (workers, depth) in [(1, Some(0)), (4, None)] {
+            runs.push((
+                format!("prune/fast-path-off/{workers}-workers"),
+                compile_pruned_config(&program, arch, true, workers, depth),
+            ));
         }
         hexcute_layout::set_fast_path(was_fast);
-        hexcute_parallel::lossy::set_lossy_memo(was_lossy);
         for (label, pruned) in &runs {
             assert_winner_equal(label, &program, &reference, pruned);
         }
@@ -482,56 +474,21 @@ fn assert_conformance(workload: &Workload, arch: &GpuArch) {
 
     // Fast path off: the recursive layout algebra and the element-by-element
     // simulator (the HEXCUTE_DISABLE_FAST_PATH configuration). The switch is
-    // process-global, so hold the lock while it is flipped. Crossed with the
-    // lossy direct-mapped memo tier (HEXCUTE_DISABLE_LOSSY_MEMO), which must
-    // be invisible to results: its tables tag-check and full-key-compare
-    // before returning, so a lossy hit is always the value the sharded maps
-    // would have produced. The on×on×{1,4} cells are the reference /
-    // inc_parallel runs above (both switches default on); the remaining six
-    // cells of the lossy × fast-path × workers cube run here.
+    // process-global, so hold the lock while it is flipped. The fast-path-on
+    // cells are the reference / inc_parallel runs above.
     {
         let _guard = FASTPATH_LOCK.lock().unwrap();
         let was_fast = hexcute_layout::fast_path_enabled();
-        let was_lossy = hexcute_parallel::lossy::lossy_memo_enabled();
-
         hexcute_layout::set_fast_path(false);
         let slow = compile_config(&program, arch, false, 1, Some(0));
         let slow_parallel = compile_config(&program, arch, true, 4, None);
-
-        hexcute_parallel::lossy::set_lossy_memo(false);
-        let slow_lossless = compile_config(&program, arch, false, 1, Some(0));
-        let slow_lossless_parallel = compile_config(&program, arch, true, 4, None);
-
         hexcute_layout::set_fast_path(was_fast);
-        let lossless = compile_config(&program, arch, false, 1, Some(0));
-        let lossless_parallel = compile_config(&program, arch, true, 4, None);
-
-        hexcute_parallel::lossy::set_lossy_memo(was_lossy);
         assert_scored_equal("fast-path-off", &program, &reference, &slow);
         assert_scored_equal(
             "fast-path-off/4-workers",
             &program,
             &reference,
             &slow_parallel,
-        );
-        assert_scored_equal(
-            "lossy-off/fast-path-off",
-            &program,
-            &reference,
-            &slow_lossless,
-        );
-        assert_scored_equal(
-            "lossy-off/fast-path-off/4-workers",
-            &program,
-            &reference,
-            &slow_lossless_parallel,
-        );
-        assert_scored_equal("lossy-off", &program, &reference, &lossless);
-        assert_scored_equal(
-            "lossy-off/4-workers",
-            &program,
-            &reference,
-            &lossless_parallel,
         );
     }
 

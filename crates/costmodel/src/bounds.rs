@@ -104,7 +104,7 @@ impl SearchBounder for CompletionBounds<'_> {
                     return floor;
                 }
             }
-            let (issue, completion) = self.model.op_cycles_memo(self.program, candidate, op, tag);
+            let (issue, completion) = self.model.op_cycles_memo(self.program, candidate, op);
             match self.degraded.get(&op.id) {
                 // Decided planned copy: the feasibility fallback may still
                 // swap in the degraded choice, so bound by the cheaper one.

@@ -25,7 +25,6 @@ use hexcute_arch::GpuArch;
 use hexcute_ir::{Op, OpId, OpKind, Program, TensorId};
 use hexcute_layout::fastpath;
 use hexcute_parallel::cache::{CacheStats, ShardedMap};
-use hexcute_parallel::lossy::{self, LossyPurpose};
 use hexcute_synthesis::Candidate;
 
 /// Bound on resident whole-candidate estimates: each entry carries a per-op
@@ -97,10 +96,6 @@ pub struct CostModel<'a> {
     /// computed once per retag instead of re-partitioning (three `Vec<&Op>`
     /// allocations) per estimate.
     partition: RwLock<Option<(u64, Arc<OpPartition>)>>,
-    /// Process-unique salt mixed into every lossy-tier key: thread-local
-    /// lossy tables outlive this model, and a later model for a different
-    /// architecture must never see its entries.
-    salt: u64,
 }
 
 /// Indices into `program.ops()` split by position relative to the main loop.
@@ -120,7 +115,6 @@ impl<'a> CostModel<'a> {
             candidate_cache: ShardedMap::bounded(CANDIDATE_CACHE_CAPACITY),
             program_tag: RwLock::new(None),
             partition: RwLock::new(None),
-            salt: lossy::instance_salt(),
         }
     }
 
@@ -128,8 +122,8 @@ impl<'a> CostModel<'a> {
     /// they were built for, making *sequential* reuse of one model across
     /// programs safe (`OpId`s are only unique within a program). Estimating
     /// different programs concurrently on one model is not supported.
-    /// Returns the program's fingerprint so the estimate path can salt its
-    /// lossy-tier keys without re-reading the lock.
+    /// Returns the program's fingerprint so the estimate path can look up
+    /// the op partition without re-reading the lock.
     pub(crate) fn retag(&self, program: &Program) -> u64 {
         let tag = program_fingerprint(program);
         if *self.program_tag.read().unwrap() == Some(tag) {
@@ -182,17 +176,11 @@ impl<'a> CostModel<'a> {
     pub fn estimate(&self, program: &Program, candidate: &Candidate) -> CostBreakdown {
         let tag = self.retag(program);
         if fastpath::enabled() && hexcute_synthesis::incremental_enabled() {
-            let key = candidate_fingerprint(program, candidate);
-            // The candidate fingerprint already embeds the program
-            // fingerprint, so the lossy key only needs the instance salt.
-            return lossy::two_tier_get_or_insert_with(
-                LossyPurpose::CandidateEstimate,
-                self.salt,
-                key,
-                &self.candidate_cache,
-                key,
-                || self.estimate_uncached(program, candidate, tag),
-            );
+            return self
+                .candidate_cache
+                .get_or_insert_with(candidate_fingerprint(program, candidate), || {
+                    self.estimate_uncached(program, candidate, tag)
+                });
         }
         self.estimate_uncached(program, candidate, tag)
     }
@@ -207,7 +195,7 @@ impl<'a> CostModel<'a> {
         self.estimate_with_costs(
             program,
             tag,
-            &|op| self.op_cycles_memo(program, candidate, op, tag),
+            &|op| self.op_cycles_memo(program, candidate, op),
             self.rearrange_cycles(candidate),
         )
     }
@@ -371,35 +359,27 @@ impl<'a> CostModel<'a> {
     /// differs from the one the model last saw (operation ids are only
     /// unique within a program).
     pub fn op_cycles(&self, program: &Program, candidate: &Candidate, op: &Op) -> (f64, f64) {
-        let tag = self.retag(program);
-        self.op_cycles_memo(program, candidate, op, tag)
+        self.retag(program);
+        self.op_cycles_memo(program, candidate, op)
     }
 
     /// [`CostModel::op_cycles`] without the per-call retag — used by the
-    /// estimate loops, which retag once per candidate. The lossy front is
-    /// salted with the program tag: `OpId`s are only unique within one
-    /// program, and the thread-local tables are never cleared.
+    /// estimate loops, which retag once per candidate.
     pub(crate) fn op_cycles_memo(
         &self,
         program: &Program,
         candidate: &Candidate,
         op: &Op,
-        tag: u64,
     ) -> (f64, f64) {
         if !fastpath::enabled() {
             return self.op_cycles_uncached(program, candidate, op);
         }
         let fp = op_choice_fingerprint(candidate, op);
-        // The op-cost compute is cheap and touches no other cache, so the
-        // shared fallthrough can afford the compute-under-lock single probe.
-        lossy::two_tier_probe_or_insert_with(
-            LossyPurpose::OpCost,
-            lossy::mix(self.salt, tag),
-            lossy::mix(op.id.index() as u64, fp),
-            &self.op_cache,
-            (op.id, fp),
-            || self.op_cycles_uncached(program, candidate, op),
-        )
+        // The op-cost compute is cheap and touches no other cache, so it
+        // can afford the compute-under-lock single probe.
+        self.op_cache.probe_or_insert_with((op.id, fp), || {
+            self.op_cycles_uncached(program, candidate, op)
+        })
     }
 
     /// The uncached estimate behind [`CostModel::op_cycles`].
@@ -466,10 +446,7 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Clears the per-operation and per-candidate memoization caches. The
-    /// thread-local lossy front retains its (salted) entries — every cached
-    /// value is a pure function of its key, so a post-clear hit there is
-    /// still bit-identical to a recomputation.
+    /// Clears the per-operation and per-candidate memoization caches.
     pub fn clear_cache(&self) {
         self.op_cache.clear();
         self.candidate_cache.clear();

@@ -16,9 +16,8 @@
 //!
 //! Since PR 10 the front-end is priority- and tenant-aware: requests carry
 //! a [`Priority`] class and a [`TenantId`], admission is a ticketed
-//! two-class queue with anti-starvation boosts and per-tenant fairness,
-//! and an optional speculative prefetcher warms predicted fingerprints
-//! from spare capacity (`repro_serving_traffic`, `BENCH_pr10.json`).
+//! two-class queue with anti-starvation boosts and per-tenant fairness
+//! (`repro_serving_traffic`, `BENCH_pr10.json`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -23,10 +23,10 @@
 //!   ([`CompileError::DeadlineExceeded`]), and retries transient failures —
 //!   a panicked synthesis wakes every coalesced waiter with a retryable
 //!   [`CompileError::Panicked`] instead of deadlocking them — with
-//!   exponential backoff and deterministic seeded jitter. Cache hits bypass
-//!   admission entirely: backpressure protects the expensive synthesis
-//!   path, never the cheap one. See `docs/ROBUSTNESS.md` for the full
-//!   degradation ladder.
+//!   exponential backoff and deterministic seeded jitter. Cache hits and
+//!   duplicates of an in-flight synthesis bypass admission entirely:
+//!   backpressure protects the expensive synthesis path, never the cheap
+//!   one. See `docs/ROBUSTNESS.md` for the full degradation ladder.
 //! * **Cooperative cancellation & supervision** (PR 8). Every synthesis
 //!   carries a [`CancelToken`] that the search
 //!   walks poll at row granularity, so a deadline that expires *mid-
@@ -45,11 +45,7 @@
 //!   ticket order within a class (no `notify_one` starvation) with
 //!   periodic background boosts so autotune traffic is never starved,
 //!   per-[`TenantId`] weighted fair scheduling with optional quotas
-//!   (`HEXCUTE_SERVICE_TENANT_QUOTA`), per-class load shedding, and
-//!   **speculative precompilation**: the request stream is mined for
-//!   recurring fingerprint transitions and predicted successors are
-//!   prefetched into the warm cache tier on spare pool capacity
-//!   ([`hexcute_parallel::spawn_background`]) before they are requested.
+//!   (`HEXCUTE_SERVICE_TENANT_QUOTA`) and per-class load shedding.
 //!
 //! ```
 //! use hexcute_arch::{DType, GpuArch};
@@ -182,8 +178,6 @@ impl fmt::Display for TenantId {
 const LATENCY: usize = 0;
 /// Queue index of [`Priority::Background`].
 const BACKGROUND: usize = 1;
-/// The pseudo-tenant that speculative prefetch slots are accounted to.
-const PREFETCH_TENANT: TenantId = TenantId(u32::MAX);
 
 /// One served compilation: the (shared) artifact plus how it was obtained.
 #[derive(Debug, Clone)]
@@ -228,11 +222,6 @@ pub struct ServiceConfig {
     /// of the latency queue — bounded starvation for the background class.
     /// `0` disables boosting (strict priority).
     pub boost_interval: u64,
-    /// Enables speculative precompilation: mine the request stream for
-    /// recurring fingerprint transitions and warm predicted successors in
-    /// the background on spare capacity. Off by default so synthesis counts
-    /// stay exact for callers that assert them.
-    pub prefetch: bool,
     /// Per-request deadline, enforced while queued for admission, while
     /// waiting on a coalesced in-flight synthesis, *and* — since PR 8 —
     /// against the in-flight synthesis itself, which is cooperatively
@@ -267,7 +256,6 @@ impl Default for ServiceConfig {
             background_queue_capacity: 64,
             tenant_quota: 0,
             boost_interval: 4,
-            prefetch: false,
             deadline: None,
             watchdog: None,
             max_retries: 2,
@@ -342,7 +330,6 @@ impl ServiceConfig {
     /// | `HEXCUTE_SERVICE_BG_QUEUE_CAPACITY` | background-class queue capacity before shedding | 64 |
     /// | `HEXCUTE_SERVICE_TENANT_QUOTA` | synthesis slots one tenant may hold (`0` = no quota) | 0 |
     /// | `HEXCUTE_SERVICE_BOOST_INTERVAL` | latency grants between background boosts (`0` = strict priority) | 4 |
-    /// | `HEXCUTE_SERVICE_PREFETCH` | nonzero enables speculative precompilation | 0 |
     /// | `HEXCUTE_SERVICE_DEADLINE_MS` | per-request deadline in milliseconds (`0` = none) | unset → none |
     /// | `HEXCUTE_WATCHDOG_MS` | per-synthesis watchdog in milliseconds (`0` = none) | unset → none |
     /// | `HEXCUTE_SERVICE_RETRIES` | transient-failure retries | 2 |
@@ -366,7 +353,6 @@ impl ServiceConfig {
             ),
             tenant_quota: env_setting("HEXCUTE_SERVICE_TENANT_QUOTA", defaults.tenant_quota),
             boost_interval: env_setting("HEXCUTE_SERVICE_BOOST_INTERVAL", defaults.boost_interval),
-            prefetch: env_setting::<u64>("HEXCUTE_SERVICE_PREFETCH", 0) != 0,
             deadline: duration_ms("HEXCUTE_SERVICE_DEADLINE_MS"),
             watchdog: duration_ms("HEXCUTE_WATCHDOG_MS"),
             max_retries: env_setting("HEXCUTE_SERVICE_RETRIES", defaults.max_retries),
@@ -737,36 +723,6 @@ impl Admission {
         }
     }
 
-    /// A slot for speculative work, granted only from genuinely *spare*
-    /// capacity: a free slot while **both** class queues are empty.
-    /// Speculation never displaces or delays a demand request; the slot is
-    /// accounted to [`PREFETCH_TENANT`] so quotas and fairness see it.
-    fn try_acquire_spare(&self) -> Option<AdmissionPermit<'_>> {
-        if self.shutdown.load(Ordering::SeqCst) {
-            return None;
-        }
-        if self.max_concurrent == 0 {
-            return Some(AdmissionPermit {
-                admission: None,
-                tenant: PREFETCH_TENANT,
-            });
-        }
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if state.active < self.max_concurrent
-            && state.queues[LATENCY].is_empty()
-            && state.queues[BACKGROUND].is_empty()
-        {
-            state.active += 1;
-            *state.active_per_tenant.entry(PREFETCH_TENANT).or_insert(0) += 1;
-            Some(AdmissionPermit {
-                admission: Some(self),
-                tenant: PREFETCH_TENANT,
-            })
-        } else {
-            None
-        }
-    }
-
     /// Requests currently parked waiting for a slot (both classes).
     fn queue_depth(&self) -> usize {
         let state = self.state.lock().unwrap_or_else(|p| p.into_inner());
@@ -821,16 +777,6 @@ pub struct ServiceStats {
     /// outside a boost. Zero by construction — a scheduling-invariant probe
     /// asserted by the traffic bench.
     pub priority_inversions: u64,
-    /// Speculative prefetches issued (predicted successor not already warm).
-    pub prefetch_issued: u64,
-    /// Prefetches that left their fingerprint warm in the memory tier.
-    pub prefetch_warmed: u64,
-    /// Prefetches dropped without warming (no spare capacity, cancelled,
-    /// program unknown, or lost to a concurrent demand synthesis).
-    pub prefetch_dropped: u64,
-    /// Demand memory hits whose entry was put there by a prefetch — the
-    /// "warm-hit share" the speculation actually earned.
-    pub prefetch_hits: u64,
     /// The artifact cache's counters.
     pub cache: KernelCacheStats,
 }
@@ -842,8 +788,7 @@ impl fmt::Display for ServiceStats {
             "{} requests ({} coalesced, {} batches, {} background), {} syntheses, \
              {} shed, {} deadline-exceeded, {} retries, {} synth-panics, \
              {} cancelled ({} watchdog trips, {} shutdown-drained), \
-             queue {} (max {}), {} boosts, {} inversions, \
-             prefetch {}/{} warmed ({} dropped, {} hits); artifact cache: {}",
+             queue {} (max {}), {} boosts, {} inversions; artifact cache: {}",
             self.requests,
             self.coalesced,
             self.batches,
@@ -860,10 +805,6 @@ impl fmt::Display for ServiceStats {
             self.max_queue_depth,
             self.background_boosts,
             self.priority_inversions,
-            self.prefetch_warmed,
-            self.prefetch_issued,
-            self.prefetch_dropped,
-            self.prefetch_hits,
             self.cache
         )
     }
@@ -1087,91 +1028,16 @@ impl Supervisor {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Speculative precompilation.
-// ---------------------------------------------------------------------------
-
-/// Consecutive observations of a fingerprint transition before its successor
-/// is considered a prediction worth prefetching.
-const PREFETCH_MIN_OBSERVATIONS: u32 = 2;
-/// Programs retained for speculative re-synthesis (a fingerprint whose
-/// program was never captured can still be warmed by disk promotion).
-const PREFETCH_PROGRAM_CAP: usize = 512;
-
-/// The request-stream miner behind speculative precompilation: a first-order
-/// Markov model over artifact fingerprints. Serving traffic repeats short
-/// sequences (the per-decode-step kernel set of a model), so after a
-/// transition `A → B` has been seen [`PREFETCH_MIN_OBSERVATIONS`] times, a
-/// request for `A` predicts `B` and a background job warms `B` — disk
-/// promotion or a full speculative synthesis — on *spare* capacity
-/// ([`Admission::try_acquire_spare`], [`hexcute_parallel::spawn_background`])
-/// before `B` is requested.
-struct PrefetchState {
-    /// `transitions[a][b]` = times a request for `b` directly followed one
-    /// for `a` (self-transitions excluded).
-    transitions: Mutex<HashMap<u64, HashMap<u64, u32>>>,
-    /// The previous request's fingerprint (the Markov state).
-    last_fingerprint: Mutex<Option<u64>>,
-    /// Programs seen so far, for speculative re-synthesis of cold
-    /// predictions. Bounded by [`PREFETCH_PROGRAM_CAP`].
-    programs: Mutex<HashMap<u64, Program>>,
-    /// Fingerprints with a prefetch job currently queued or running
-    /// (dedup so a hot transition does not fan out duplicate jobs).
-    inflight: Mutex<HashSet<u64>>,
-    /// Fingerprints whose memory-tier entry was placed by a prefetch and
-    /// not yet claimed by a demand hit; a demand memory hit that removes
-    /// one counts as a `prefetch_hits`.
-    warmed: Mutex<HashSet<u64>>,
-    /// Trips on service shutdown: in-flight speculative syntheses abort and
-    /// no new ones start.
-    cancel: CancelToken,
-    issued: AtomicU64,
-    warmed_count: AtomicU64,
-    dropped: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl fmt::Debug for PrefetchState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PrefetchState")
-            .field("issued", &self.issued.load(Ordering::Relaxed))
-            .field("warmed", &self.warmed_count.load(Ordering::Relaxed))
-            .field("dropped", &self.dropped.load(Ordering::Relaxed))
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl PrefetchState {
-    fn new() -> Self {
-        PrefetchState {
-            transitions: Mutex::new(HashMap::new()),
-            last_fingerprint: Mutex::new(None),
-            programs: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashSet::new()),
-            warmed: Mutex::new(HashSet::new()),
-            cancel: CancelToken::new(),
-            issued: AtomicU64::new(0),
-            warmed_count: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-        }
-    }
-}
-
 /// A compile front-end for one target architecture: an artifact cache, a
 /// request-coalescing layer and pool-backed batch compilation. The service
 /// is `Sync` — one instance serves concurrent requests from many threads.
 /// See the [module docs](self) for the serving rationale and an example.
 #[derive(Debug)]
 pub struct CompileService {
-    // `Arc`s so speculative background jobs can hold `Weak` handles that
-    // die with the service instead of borrowing from it.
-    compiler: Arc<Compiler>,
-    cache: Arc<KernelCache>,
+    compiler: Compiler,
+    cache: KernelCache,
     config: ServiceConfig,
-    admission: Arc<Admission>,
-    prefetch: Option<Arc<PrefetchState>>,
+    admission: Admission,
     inflight: Mutex<HashMap<u64, Arc<Inflight>>>,
     requests: AtomicU64,
     background_requests: AtomicU64,
@@ -1224,19 +1090,14 @@ impl CompileService {
     ) -> Self {
         faults::install_global_pool_hook();
         faults::install_global_synth_hook();
-        let cache = Arc::new(KernelCache::with_faults(
-            cache_config,
-            config.faults.clone(),
-        ));
-        let admission = Arc::new(Admission::new(&config));
-        let prefetch = config.prefetch.then(|| Arc::new(PrefetchState::new()));
+        let cache = KernelCache::with_faults(cache_config, config.faults.clone());
+        let admission = Admission::new(&config);
         let supervisor = Arc::new(Supervisor::new(config.watchdog));
         CompileService {
-            compiler: Arc::new(Compiler::with_options(arch, options)),
+            compiler: Compiler::with_options(arch, options),
             cache,
             config,
             admission,
-            prefetch,
             inflight: Mutex::new(HashMap::new()),
             requests: AtomicU64::new(0),
             background_requests: AtomicU64::new(0),
@@ -1325,7 +1186,6 @@ impl CompileService {
             });
         }
         let fingerprint = self.compiler.artifact_fingerprint(program);
-        self.observe_for_prefetch(fingerprint, program);
         let start = Instant::now();
         let deadline = self.config.deadline.map(|d| start + d);
         let mut attempt = 0usize;
@@ -1387,138 +1247,25 @@ impl CompileService {
         exp + jitter
     }
 
-    /// Feeds one request into the prefetch miner and spawns background
-    /// warmers for any successor predicted by the transition model. No-op
-    /// unless [`ServiceConfig::prefetch`] is enabled.
-    fn observe_for_prefetch(&self, fingerprint: u64, program: &Program) {
-        let Some(prefetch) = &self.prefetch else {
-            return;
-        };
-        if prefetch.cancel.is_cancelled() {
-            return;
-        }
-        {
-            let mut programs = prefetch.programs.lock().unwrap_or_else(|p| p.into_inner());
-            if programs.len() < PREFETCH_PROGRAM_CAP || programs.contains_key(&fingerprint) {
-                programs.insert(fingerprint, program.clone());
-            }
-        }
-        let previous = prefetch
-            .last_fingerprint
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .replace(fingerprint);
-        let predictions: Vec<u64> = {
-            let mut transitions = prefetch
-                .transitions
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            if let Some(prev) = previous {
-                if prev != fingerprint {
-                    *transitions
-                        .entry(prev)
-                        .or_default()
-                        .entry(fingerprint)
-                        .or_insert(0) += 1;
-                }
-            }
-            transitions
-                .get(&fingerprint)
-                .map(|successors| {
-                    successors
-                        .iter()
-                        .filter(|(_, &count)| count >= PREFETCH_MIN_OBSERVATIONS)
-                        .map(|(&fp, _)| fp)
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        for predicted in predictions {
-            self.spawn_prefetch(prefetch, predicted);
-        }
-    }
-
-    /// Queues a background job that warms `fingerprint` — disk promotion or
-    /// a speculative synthesis — if spare admission capacity exists when
-    /// the job runs. Holds only `Weak` handles so a dropped service (or its
-    /// shutdown cancel) quietly retires pending jobs.
-    fn spawn_prefetch(&self, prefetch: &Arc<PrefetchState>, fingerprint: u64) {
-        if self.cache.peek_memory(fingerprint) {
-            return;
-        }
-        if !prefetch
-            .inflight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(fingerprint)
-        {
-            return;
-        }
-        prefetch.issued.fetch_add(1, Ordering::Relaxed);
-        let prefetch = Arc::downgrade(prefetch);
-        let cache = Arc::downgrade(&self.cache);
-        let compiler = Arc::downgrade(&self.compiler);
-        let admission = Arc::downgrade(&self.admission);
-        hexcute_parallel::spawn_background(move || {
-            let (Some(prefetch), Some(cache), Some(compiler), Some(admission)) = (
-                prefetch.upgrade(),
-                cache.upgrade(),
-                compiler.upgrade(),
-                admission.upgrade(),
-            ) else {
-                return;
-            };
-            let mut warmed = false;
-            if !prefetch.cancel.is_cancelled() {
-                if let Some(permit) = admission.try_acquire_spare() {
-                    let program = prefetch
-                        .programs
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .get(&fingerprint)
-                        .cloned();
-                    warmed = cache.prefetch_with(fingerprint, || {
-                        let program = program?;
-                        compiler
-                            .compile_artifact_cancellable(&program, Some(&prefetch.cancel))
-                            .ok()
-                            .map(Arc::new)
-                    });
-                    drop(permit);
-                }
-            }
-            if warmed {
-                prefetch.warmed_count.fetch_add(1, Ordering::Relaxed);
-                prefetch
-                    .warmed
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(fingerprint);
-            } else {
-                prefetch.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            prefetch
-                .inflight
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .remove(&fingerprint);
-        });
-    }
-
-    /// Attributes a demand memory hit to the prefetch that placed it, if
-    /// one did (the "did speculation actually earn anything" counter).
-    fn note_cache_hit(&self, fingerprint: u64, source: ArtifactSource) {
-        let Some(prefetch) = &self.prefetch else {
-            return;
-        };
-        if source == ArtifactSource::Memory
-            && prefetch
-                .warmed
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .remove(&fingerprint)
-        {
-            prefetch.hits.fetch_add(1, Ordering::Relaxed);
+    /// Parks on another request's in-flight synthesis of the same
+    /// fingerprint and shares its result. `None` means the claimant unwound
+    /// without one and the caller should retry.
+    fn join(
+        &self,
+        entry: &Inflight,
+        start: Instant,
+        deadline: Option<Instant>,
+    ) -> Option<Result<CompileResponse, CompileError>> {
+        self.coalesced.fetch_add(1, Ordering::Relaxed);
+        match entry.wait(deadline) {
+            WaitOutcome::Done(result) => Some(result.map(|artifact| CompileResponse {
+                artifact,
+                served_from: ServedFrom::Coalesced,
+            })),
+            WaitOutcome::Abandoned => None,
+            WaitOutcome::TimedOut => Some(Err(CompileError::DeadlineExceeded {
+                elapsed: start.elapsed(),
+            })),
         }
     }
 
@@ -1534,7 +1281,6 @@ impl CompileService {
     ) -> Result<CompileResponse, CompileError> {
         loop {
             if let Some((artifact, source)) = self.cache.get(fingerprint) {
-                self.note_cache_hit(fingerprint, source);
                 return Ok(CompileResponse {
                     artifact,
                     served_from: source.into(),
@@ -1545,8 +1291,23 @@ impl CompileService {
                     elapsed: start.elapsed(),
                 });
             }
-            // Admission bounds the synthesis path only; the cache hit above
-            // never queues.
+            // Join an in-flight synthesis of this fingerprint before
+            // queueing: a coalesced waiter uses no synthesis slot, so it
+            // must not wait behind its own claimant for one.
+            let pending = self
+                .inflight
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .get(&fingerprint)
+                .cloned();
+            if let Some(entry) = pending {
+                match self.join(&entry, start, deadline) {
+                    Some(result) => return result,
+                    None => continue,
+                }
+            }
+            // Admission bounds the synthesis path only; cache hits and
+            // coalesced waiters never queue.
             let permit = self.admission.acquire(priority, tenant, start, deadline)?;
             let claim = {
                 let mut inflight = self.inflight.lock().unwrap_or_else(|p| p.into_inner());
@@ -1554,7 +1315,6 @@ impl CompileService {
                 // cache *before* retiring its in-flight entry, so a request
                 // arriving in between must not start a second synthesis.
                 if let Some((artifact, source)) = self.cache.get(fingerprint) {
-                    self.note_cache_hit(fingerprint, source);
                     return Ok(CompileResponse {
                         artifact,
                         served_from: source.into(),
@@ -1571,25 +1331,13 @@ impl CompileService {
             };
             match claim {
                 Err(entry) => {
-                    // A coalesced waiter consumes no synthesis slot: release
-                    // it before parking so admission capacity tracks actual
-                    // work, not waiters.
+                    // Another request claimed the fingerprint while this one
+                    // queued for a slot: release the slot before parking so
+                    // admission capacity tracks actual work, not waiters.
                     drop(permit);
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    match entry.wait(deadline) {
-                        WaitOutcome::Done(result) => {
-                            return result.map(|artifact| CompileResponse {
-                                artifact,
-                                served_from: ServedFrom::Coalesced,
-                            });
-                        }
-                        // The claimant unwound without a result: retry.
-                        WaitOutcome::Abandoned => continue,
-                        WaitOutcome::TimedOut => {
-                            return Err(CompileError::DeadlineExceeded {
-                                elapsed: start.elapsed(),
-                            });
-                        }
+                    match self.join(&entry, start, deadline) {
+                        Some(result) => return result,
+                        None => continue,
                     }
                 }
                 Ok(entry) => {
@@ -1733,11 +1481,6 @@ impl CompileService {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        if let Some(prefetch) = &self.prefetch {
-            // Speculative work aborts too: queued background jobs see the
-            // cancel and retire without compiling.
-            prefetch.cancel.cancel(CancelReason::Shutdown);
-        }
         self.supervisor.cancel_all_for_shutdown();
         self.admission.shutdown();
         // Bounded drain: in-flight claimants poll their tokens at row
@@ -1792,22 +1535,6 @@ impl CompileService {
             background_requests: self.background_requests.load(Ordering::Relaxed),
             background_boosts: self.admission.background_boosts.load(Ordering::Relaxed),
             priority_inversions: self.admission.priority_inversions.load(Ordering::Relaxed),
-            prefetch_issued: self
-                .prefetch
-                .as_ref()
-                .map_or(0, |p| p.issued.load(Ordering::Relaxed)),
-            prefetch_warmed: self
-                .prefetch
-                .as_ref()
-                .map_or(0, |p| p.warmed_count.load(Ordering::Relaxed)),
-            prefetch_dropped: self
-                .prefetch
-                .as_ref()
-                .map_or(0, |p| p.dropped.load(Ordering::Relaxed)),
-            prefetch_hits: self
-                .prefetch
-                .as_ref()
-                .map_or(0, |p| p.hits.load(Ordering::Relaxed)),
             cache: self.cache.stats(),
         }
     }
@@ -1817,12 +1544,12 @@ impl CompileService {
 mod tests {
     use super::*;
     use hexcute_arch::DType;
+    use hexcute_core::FaultSpec;
     use hexcute_ir::KernelBuilder;
     use hexcute_kernels::attention::{mha_forward, AttentionConfig, AttentionShape};
     use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
     use hexcute_layout::Layout;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Barrier;
 
     fn small_program(name: &str) -> Program {
         let mut kb = KernelBuilder::new(name, 128);
@@ -1845,30 +1572,73 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_requests_coalesce_to_one_synthesis() {
-        let service = CompileService::new(GpuArch::a100());
-        let program = fp16_gemm(GemmShape::new(1024, 1024, 1024), GemmConfig::default()).unwrap();
-        let threads = 8;
-        let barrier = Barrier::new(threads);
-        let artifacts: Vec<Arc<KernelArtifact>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        service.compile(&program).unwrap().artifact
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let stats = service.stats();
-        assert_eq!(stats.requests, threads as u64);
-        assert_eq!(
-            stats.syntheses, 1,
-            "concurrent requests for one fingerprint must coalesce: {stats}"
+        // An injected stall holds the claimant in its search until every
+        // duplicate has arrived, so each duplicate must join the in-flight
+        // synthesis: with unbounded admission, and with a single slot that
+        // the claimant holds (a duplicate must not queue for it). The stall
+        // hook is process-wide, so it is enabled only until the duplicates
+        // have parked, which keeps the stalls other tests may see short.
+        let injector = FaultInjector::new(
+            FaultSpec {
+                synth_stall: Duration::from_millis(20),
+                ..FaultSpec::default()
+            }
+            .with_rate(FaultKind::SynthStall, 1.0),
         );
-        for artifact in &artifacts[1..] {
-            assert_eq!(**artifact, *artifacts[0]);
+        faults::install_synth_hook(&injector);
+        let program = fp16_gemm(GemmShape::new(1024, 1024, 1024), GemmConfig::default()).unwrap();
+        let duplicates = 7;
+        for max_concurrent in [0, 1] {
+            injector.set_enabled(true);
+            let service = CompileService::with_service_config(
+                GpuArch::a100(),
+                CompilerOptions::new(),
+                KernelCacheConfig::default(),
+                ServiceConfig {
+                    max_concurrent,
+                    ..ServiceConfig::default()
+                },
+            );
+            let (first, rest) = std::thread::scope(|scope| {
+                let claimant = scope.spawn(|| service.compile(&program).unwrap());
+                while service.stats().syntheses == 0 {
+                    std::thread::yield_now();
+                }
+                let handles: Vec<_> = (0..duplicates)
+                    .map(|_| scope.spawn(|| service.compile(&program).unwrap()))
+                    .collect();
+                // Release the claimant once every duplicate is parked,
+                // whether on the in-flight entry or in the admission queue.
+                loop {
+                    let stats = service.stats();
+                    if stats.coalesced + stats.queue_depth as u64 >= duplicates
+                        || claimant.is_finished()
+                    {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                injector.set_enabled(false);
+                let rest: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+                (claimant.join().unwrap(), rest)
+            });
+            let stats = service.stats();
+            assert_eq!(first.served_from, ServedFrom::Synthesized);
+            assert_eq!(
+                stats.syntheses, 1,
+                "concurrent requests for one fingerprint must coalesce \
+                 (max_concurrent {max_concurrent}): {stats}"
+            );
+            for response in &rest {
+                assert_eq!(
+                    response.served_from,
+                    ServedFrom::Coalesced,
+                    "max_concurrent {max_concurrent}: {stats}"
+                );
+                assert_eq!(*response.artifact, *first.artifact);
+            }
         }
+        faults::clear_synth_hook();
     }
 
     #[test]
@@ -2322,53 +2092,5 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.background_requests, 2, "{stats}");
-    }
-
-    #[test]
-    fn speculative_prefetch_warms_predicted_fingerprints() {
-        let dir = unique_temp_dir("prefetch");
-        let cache_config = KernelCacheConfig {
-            dir: Some(dir.clone()),
-            ttl: Some(Duration::from_millis(80)),
-            ..KernelCacheConfig::default()
-        };
-        let service = CompileService::with_service_config(
-            GpuArch::a100(),
-            CompilerOptions::new(),
-            cache_config,
-            ServiceConfig {
-                prefetch: true,
-                ..ServiceConfig::default()
-            },
-        );
-        let a = small_program("prefetch_a");
-        let b = small_program("prefetch_b");
-        // Teach the transition model the A → B pattern.
-        for _ in 0..3 {
-            service.compile(&a).unwrap();
-            service.compile(&b).unwrap();
-        }
-        // Let both tiers expire so B is genuinely cold again.
-        std::thread::sleep(Duration::from_millis(120));
-        // Serving A predicts B; a background job re-warms it speculatively.
-        service.compile(&a).unwrap();
-        assert!(
-            hexcute_parallel::wait_background_idle(Duration::from_secs(10)),
-            "prefetch jobs must drain"
-        );
-        let warm = service.compile(&b).unwrap();
-        assert_eq!(
-            warm.served_from,
-            ServedFrom::Memory,
-            "the predicted fingerprint must already be warm"
-        );
-        let stats = service.stats();
-        assert!(stats.prefetch_issued >= 1, "{stats}");
-        assert!(stats.prefetch_warmed >= 1, "{stats}");
-        assert!(
-            stats.prefetch_hits >= 1,
-            "the demand hit must be attributed to the prefetch: {stats}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -218,18 +218,6 @@ impl<K: Hash + Eq, V: Clone> ShardedMap<K, V> {
         value
     }
 
-    /// Returns a clone of the cached value **without** touching the hit/miss
-    /// counters. Probe-only callers (the speculative-prefetch predictor
-    /// asking "is this fingerprint already warm?") use this so their
-    /// speculation does not distort the serving hit rate.
-    pub fn peek(&self, key: &K) -> Option<V> {
-        self.shard(key)
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(key)
-            .cloned()
-    }
-
     /// Number of resident entries across all shards.
     pub fn len(&self) -> usize {
         self.shards

@@ -25,13 +25,11 @@
 //!
 //! The [`cache`] module provides the sharded concurrent memo map the
 //! synthesis/cost/simulation caches use to stay safe (and mostly
-//! uncontended) when the parallel search shares them across workers; the
-//! [`lossy`] module puts a thread-local direct-mapped table in front of it
-//! on the single-threaded hot path. The [`cancel`] module provides the
-//! cooperative [`cancel::CancelToken`] that [`par_map_cancellable`] and the
-//! synthesis walks poll so a deadline, watchdog or shutdown can abort
-//! in-flight work promptly (skipped items are counted in
-//! [`PoolStats::cancelled`]).
+//! uncontended) when the parallel search shares them across workers. The
+//! [`cancel`] module provides the cooperative [`cancel::CancelToken`] that
+//! [`par_map_cancellable`] and the synthesis walks poll so a deadline,
+//! watchdog or shutdown can abort in-flight work promptly (skipped items are
+//! counted in [`PoolStats::cancelled`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -39,7 +37,6 @@
 pub mod cache;
 pub mod cancel;
 pub mod incumbent;
-pub mod lossy;
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -434,9 +431,8 @@ impl Pool {
 /// Enqueues a best-effort job on the persistent pool's **background lane**.
 ///
 /// Pool workers steal background jobs only when no foreground [`par_map`]
-/// job offers a helper ticket, so speculative work (the compile service's
-/// predictive precompilation) consumes spare pool capacity and never delays
-/// a foreground map. A worker is spawned lazily if none exists yet; panics
+/// job offers a helper ticket, so best-effort work consumes spare pool
+/// capacity and never delays a foreground map. A worker is spawned lazily if none exists yet; panics
 /// inside `f` are caught and discarded (best-effort semantics). Executed
 /// jobs are counted in [`PoolStats::background`].
 pub fn spawn_background(f: impl FnOnce() + Send + 'static) {
@@ -460,8 +456,7 @@ pub fn background_pending() -> usize {
 }
 
 /// Blocks until the background lane is idle (no queued or executing jobs) or
-/// `timeout` passes; returns whether it drained. Harnesses use this to model
-/// traffic lulls in which speculative work catches up.
+/// `timeout` passes; returns whether it drained.
 pub fn wait_background_idle(timeout: std::time::Duration) -> bool {
     let deadline = std::time::Instant::now() + timeout;
     loop {

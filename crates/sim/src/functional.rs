@@ -29,7 +29,6 @@ use hexcute_arch::{DType, MemSpace};
 use hexcute_ir::{ElementwiseOp, Op, OpId, OpKind, Program, ReduceOp, TensorId};
 use hexcute_layout::{fastpath, Layout, Swizzle, SwizzledLayout, TvLayout};
 use hexcute_parallel::cache::{CacheStats, ShardedMap};
-use hexcute_parallel::lossy::{self, LossyPurpose};
 use hexcute_synthesis::Candidate;
 
 use crate::error::{Result, SimError};
@@ -190,10 +189,6 @@ pub struct SimTableCache {
     copy: ShardedMap<(OpId, u64), Arc<CopyTable>>,
     tv: ShardedMap<(TensorId, u64), Arc<TvTable>>,
     shared_gather: ShardedMap<(TensorId, u64), Arc<Vec<usize>>>,
-    /// Process-unique salt mixed into every lossy-tier key: the thread-local
-    /// lossy tables in front of these maps outlive this cache, and a table
-    /// entry of one cache instance must never be served to another.
-    salt: u64,
 }
 
 impl Default for SimTableCache {
@@ -216,7 +211,6 @@ impl SimTableCache {
             copy: ShardedMap::bounded(capacity),
             tv: ShardedMap::bounded(capacity),
             shared_gather: ShardedMap::bounded(capacity),
-            salt: lossy::instance_salt(),
         }
     }
 
@@ -704,28 +698,18 @@ impl<'a> FunctionalSim<'a> {
             return self.execute_copy_reference(op, src, dst, iteration, global, shared, regs);
         }
         let table = match state.copy_fp.get(&op.id) {
-            // A fingerprint already resolved this run: probe the lossy
-            // thread-local tier, then the shared tier. Either may have lost
-            // the table (direct-mapped eviction / bounded-shard clear) —
-            // rebuild (bit-identically) in that case. The rebuild is fallible
-            // (`copy_walk`), so this site uses the probe/backfill halves
-            // instead of the closure-style memo front.
+            // A fingerprint already resolved this run: the bounded cache may
+            // have evicted the table — rebuild (bit-identically) in that
+            // case. The rebuild is fallible (`copy_walk`), so this site
+            // cannot use `get_or_insert_with`.
             Some(&fp) => {
                 let key = (op.id, fp);
-                let tag = lossy::mix(op.id.index() as u64, fp);
-                match lossy::probe(LossyPurpose::SimCopy, cache.salt, tag, &key) {
+                match cache.copy.get(&key) {
                     Some(table) => table,
                     None => {
-                        let table = match cache.copy.get(&key) {
-                            Some(table) => table,
-                            None => {
-                                let walk = self.copy_walk(op, src, dst)?;
-                                let table = Arc::new(self.build_copy_table(src, dst, &walk));
-                                cache.copy.insert(key, table.clone());
-                                table
-                            }
-                        };
-                        lossy::backfill(LossyPurpose::SimCopy, cache.salt, tag, key, table.clone());
+                        let walk = self.copy_walk(op, src, dst)?;
+                        let table = Arc::new(self.build_copy_table(src, dst, &walk));
+                        cache.copy.insert(key, table.clone());
                         table
                     }
                 }
@@ -733,14 +717,9 @@ impl<'a> FunctionalSim<'a> {
             None => {
                 let (fp, walk) = self.copy_fingerprint(op, src, dst)?;
                 state.copy_fp.insert(op.id, fp);
-                lossy::two_tier_get_or_insert_with(
-                    LossyPurpose::SimCopy,
-                    cache.salt,
-                    lossy::mix(op.id.index() as u64, fp),
-                    &cache.copy,
-                    (op.id, fp),
-                    || Arc::new(self.build_copy_table(src, dst, &walk)),
-                )
+                cache.copy.get_or_insert_with((op.id, fp), || {
+                    Arc::new(self.build_copy_table(src, dst, &walk))
+                })
             }
         };
         let table = &*table;
@@ -917,28 +896,21 @@ impl<'a> FunctionalSim<'a> {
                 fp
             }
         };
-        Ok(lossy::two_tier_get_or_insert_with(
-            LossyPurpose::SimTv,
-            cache.salt,
-            lossy::mix(id.index() as u64, fp),
-            &cache.tv,
-            (id, fp),
-            || {
-                let threads = tv.num_threads();
-                let values = tv.values_per_thread();
-                let mut index = Vec::with_capacity(threads * values);
-                for t in 0..threads {
-                    for v in 0..values {
-                        index.push(tv.map(t, v));
-                    }
+        Ok(cache.tv.get_or_insert_with((id, fp), || {
+            let threads = tv.num_threads();
+            let values = tv.values_per_thread();
+            let mut index = Vec::with_capacity(threads * values);
+            for t in 0..threads {
+                for v in 0..values {
+                    index.push(tv.map(t, v));
                 }
-                Arc::new(TvTable {
-                    threads,
-                    values,
-                    index,
-                })
-            },
-        ))
+            }
+            Arc::new(TvTable {
+                threads,
+                values,
+                index,
+            })
+        }))
     }
 
     /// Gathers the full logical tile of a tensor (register or shared).
@@ -1000,27 +972,18 @@ impl<'a> FunctionalSim<'a> {
                             fp
                         }
                     };
-                    let addrs = lossy::two_tier_get_or_insert_with(
-                        LossyPurpose::SimGather,
-                        cache.salt,
-                        lossy::mix(id.index() as u64, fp),
-                        &cache.shared_gather,
-                        (id, fp),
-                        || {
-                            let layout = self.smem_layout(id);
-                            let addrs: Vec<usize> = (0..total)
-                                .map(|idx| {
-                                    let coords = [idx % tile[0], idx / tile[0]];
-                                    layout.swizzle().apply(self.address(
-                                        layout.layout(),
-                                        &coords,
-                                        0,
-                                    ))
-                                })
-                                .collect();
-                            Arc::new(addrs)
-                        },
-                    );
+                    let addrs = cache.shared_gather.get_or_insert_with((id, fp), || {
+                        let layout = self.smem_layout(id);
+                        let addrs: Vec<usize> = (0..total)
+                            .map(|idx| {
+                                let coords = [idx % tile[0], idx / tile[0]];
+                                layout
+                                    .swizzle()
+                                    .apply(self.address(layout.layout(), &coords, 0))
+                            })
+                            .collect();
+                        Arc::new(addrs)
+                    });
                     for (idx, &addr) in addrs.iter().enumerate() {
                         full[idx] = buffer.get(addr).copied().unwrap_or(0.0);
                     }

@@ -16,7 +16,6 @@ use hexcute_costmodel::{op_choice_fingerprint, program_fingerprint, CostBreakdow
 use hexcute_ir::{Op, OpId, OpKind, Program, TensorId};
 use hexcute_layout::SwizzledLayout;
 use hexcute_parallel::cache::{CacheStats, ShardedMap};
-use hexcute_parallel::lossy::{self, LossyPurpose};
 use hexcute_synthesis::{bank_conflict_degree, Candidate, CopyChoice};
 
 /// The estimated execution profile of one kernel launch.
@@ -81,9 +80,6 @@ pub struct PerfEvaluator<'a> {
     /// program clears the cache (sequential cross-program reuse is safe;
     /// concurrent evaluation of *different* programs is not supported).
     program_tag: RwLock<Option<u64>>,
-    /// Process-unique salt mixed into every lossy-tier key (the thread-local
-    /// tables outlive this evaluator; see `hexcute_parallel::lossy`).
-    salt: u64,
 }
 
 impl<'a> PerfEvaluator<'a> {
@@ -93,7 +89,6 @@ impl<'a> PerfEvaluator<'a> {
             arch,
             bank_cache: ShardedMap::new(),
             program_tag: RwLock::new(None),
-            salt: lossy::instance_salt(),
         }
     }
 
@@ -103,19 +98,17 @@ impl<'a> PerfEvaluator<'a> {
     }
 
     /// Clears the per-operation cache when `program` differs from the one it
-    /// was built for, returning the program's fingerprint for lossy-key
-    /// salting.
-    fn retag(&self, program: &Program) -> u64 {
+    /// was built for.
+    fn retag(&self, program: &Program) {
         let tag = program_fingerprint(program);
         if *self.program_tag.read().unwrap() == Some(tag) {
-            return tag;
+            return;
         }
         let mut current = self.program_tag.write().unwrap();
         if *current != Some(tag) {
             *current = Some(tag);
             self.bank_cache.clear();
         }
-        tag
     }
 
     /// Derives the device-level performance report from an already-computed
@@ -128,16 +121,14 @@ impl<'a> PerfEvaluator<'a> {
         candidate: &Candidate,
         cost: &CostBreakdown,
     ) -> PerfReport {
-        let tag = self.retag(program);
-        let bank_conflict_cycles = self.bank_conflict_penalty(program, candidate, tag);
+        self.retag(program);
+        let bank_conflict_cycles = self.bank_conflict_penalty(program, candidate);
         finish_report(program, candidate, self.arch, cost, bank_conflict_cycles)
     }
 
-    /// [`bank_conflict_penalty`] with per-operation memoization: a
-    /// thread-local lossy table (salted with the program tag — `OpId`s are
-    /// only unique per program) in front of the sharded cross-worker cache.
-    fn bank_conflict_penalty(&self, program: &Program, candidate: &Candidate, tag: u64) -> f64 {
-        let salt = lossy::mix(self.salt, tag);
+    /// [`bank_conflict_penalty`] with per-operation memoization in the
+    /// sharded cross-worker cache.
+    fn bank_conflict_penalty(&self, program: &Program, candidate: &Candidate) -> f64 {
         let mut penalty = 0.0f64;
         for op in program.ops() {
             let Some((choice, tensor, layout)) = bank_conflict_context(program, candidate, op)
@@ -147,14 +138,9 @@ impl<'a> PerfEvaluator<'a> {
             let fp = bank_fingerprint(candidate, op, choice, layout);
             // Per-op conflict charges are cheap pure computations that touch
             // no other cache: safe for the compute-under-lock single probe.
-            penalty += lossy::two_tier_probe_or_insert_with(
-                LossyPurpose::BankPenalty,
-                salt,
-                lossy::mix(op.id.index() as u64, fp),
-                &self.bank_cache,
-                (op.id, fp),
-                || bank_conflict_penalty_op(program, op, choice, tensor, layout, self.arch),
-            );
+            penalty += self.bank_cache.probe_or_insert_with((op.id, fp), || {
+                bank_conflict_penalty_op(program, op, choice, tensor, layout, self.arch)
+            });
         }
         penalty
     }
