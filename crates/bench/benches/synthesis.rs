@@ -3,8 +3,8 @@
 //! DESIGN.md.
 //!
 //! The end-to-end synthesis and compilation benchmarks run through both the
-//! serial reference path (`…/reference`) and the memoized, parallel fast
-//! path (`…/fast`, the default).
+//! reference path (`…/reference`) and the memoized fast path (`…/fast`, the
+//! default).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use hexcute_arch::GpuArch;
@@ -67,13 +67,11 @@ fn bench_synthesis(c: &mut Criterion) {
     });
 
     // PR 9: branch-and-bound pruned selection against scoring the full
-    // enumeration, both serial, on the relaxed-cap (enlarged) choice space.
+    // enumeration on the relaxed-cap (enlarged) choice space.
     let enlarged = SynthesisOptions {
         max_candidates: 4096,
         node_budget: None,
         beam_width: None,
-        parallel_workers: Some(1),
-        parallel_subtree_depth: Some(0),
         ..SynthesisOptions::default()
     };
     c.bench_function("synthesis_pruned/gemm_exhaustive_argmin", |b| {
@@ -103,22 +101,6 @@ fn bench_synthesis(c: &mut Criterion) {
                 .unwrap()
         })
     });
-
-    // PR 3: the parallel subtree walk at explicit worker counts against the
-    // serial incremental walk (`w1` uses the serial path by construction).
-    for workers in [1usize, 2, 4] {
-        let options = SynthesisOptions {
-            parallel_workers: Some(workers),
-            ..SynthesisOptions::default()
-        };
-        c.bench_function(&format!("synthesis_parallel/gemm_walk/w{workers}"), |b| {
-            b.iter(|| {
-                Synthesizer::new(black_box(&gemm), &arch, options.clone())
-                    .synthesize()
-                    .unwrap()
-            })
-        });
-    }
 }
 
 criterion_group! {

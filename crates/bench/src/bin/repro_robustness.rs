@@ -66,7 +66,7 @@ fn main() {
             "{}: spec={} coalesced={} syntheses={} max_queue_depth={} quarantined={} \
              write_failures={} breaker_trips={}/{} stale_version={} injected={} \
              pool jobs/items/deaths/respawns={}/{}/{}/{} mismatches={} \
-             cancelled={} watchdog_trips={} shutdown_drained={} pool_cancelled={} \
+             cancelled={} watchdog_trips={} shutdown_drained={} \
              cancel_free_p99_ms={:.2}",
             r.name,
             r.spec,
@@ -87,7 +87,6 @@ fn main() {
             r.synth_cancelled,
             r.watchdog_trips,
             r.shutdown_drained,
-            r.pool_cancelled,
             r.cancel_free_p99_ms
         );
     }

@@ -2,10 +2,9 @@
 //!
 //! Every benchmark here runs twice in one process: once with the fast path
 //! disabled (`HEXCUTE_DISABLE_FAST_PATH`-equivalent — the recursive
-//! reference algebra, the element-by-element simulator and the serial
-//! candidate search, i.e. the pre-change behaviour) and once with it
-//! enabled (flat memoized algebra, table-driven simulation, parallel
-//! search). The results feed `BENCH_pr1.json` via [`write_json`] and the
+//! reference algebra and the element-by-element simulator, i.e. the
+//! pre-change behaviour) and once with it enabled (flat memoized algebra,
+//! table-driven simulation). The results feed `BENCH_pr1.json` via [`write_json`] and the
 //! `repro_fastpath` binary.
 
 use std::collections::HashMap;
@@ -340,120 +339,6 @@ pub fn synthesis_incremental_entries() -> Vec<FastPathEntry> {
             }
         },
     ));
-    entries
-}
-
-/// The serial-incremental options: the PR 2 behaviour (incremental walk, one
-/// worker, no subtree split) — the baseline the parallel search is measured
-/// against.
-fn serial_incremental_options() -> SynthesisOptions {
-    SynthesisOptions {
-        incremental: true,
-        parallel_subtree_depth: Some(0),
-        parallel_workers: Some(1),
-        ..SynthesisOptions::default()
-    }
-}
-
-/// Options for the parallel subtree walk at an explicit worker count
-/// (auto-tuned split depth).
-fn parallel_options(workers: usize) -> SynthesisOptions {
-    SynthesisOptions {
-        incremental: true,
-        parallel_subtree_depth: None,
-        parallel_workers: Some(workers),
-        ..SynthesisOptions::default()
-    }
-}
-
-/// Worker counts for the scaling curve: 1, 2, 4 and the machine's
-/// `HEXCUTE_THREADS`/auto count when that adds a new point.
-pub fn scaling_worker_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 4];
-    let n = hexcute_parallel::worker_count();
-    if !counts.contains(&n) {
-        counts.push(n);
-    }
-    counts.sort_unstable();
-    counts
-}
-
-/// The parallel prefix-tree search group (PR 3): end-to-end candidate
-/// synthesis and cost-ranked compilation of the paper's kernel families,
-/// comparing the PR 2 serial-incremental walk against the parallel subtree
-/// walk at 1/2/4/N workers. One group per worker count
-/// (`synthesis_parallel_w{N}`), so each group's geomean is one point of the
-/// scaling curve. Feeds `BENCH_pr3.json` via the `repro_parallel` binary.
-pub fn synthesis_parallel_entries() -> Vec<FastPathEntry> {
-    let arch = GpuArch::a100();
-    let gemm = fp16_gemm(GemmShape::new(4096, 4096, 4096), GemmConfig::default()).unwrap();
-    let attention = mha_forward(
-        AttentionShape::forward(8, 32, 2048, 128),
-        AttentionConfig::default(),
-    )
-    .unwrap();
-    let moe = mixed_type_moe(
-        MoeShape::deepseek_r1(128),
-        MoeConfig::default(),
-        MoeDataflow::Efficient,
-    )
-    .unwrap();
-    let kernels: [(&str, &Program); 3] =
-        [("gemm", &gemm), ("attention", &attention), ("moe", &moe)];
-    set_fast_path(true);
-
-    let synthesize_with = |program: &Program, options: SynthesisOptions| {
-        std::hint::black_box(
-            Synthesizer::new(program, &arch, options)
-                .synthesize()
-                .unwrap(),
-        );
-    };
-    let compile_with = |program: &Program, options: SynthesisOptions| {
-        let compiler = Compiler::with_options(
-            arch.clone(),
-            CompilerOptions {
-                synthesis: options,
-                use_cost_model: true,
-            },
-        );
-        std::hint::black_box(compiler.compile(program).unwrap());
-    };
-
-    let mut entries = Vec::new();
-    for (kernel, program) in kernels {
-        // The serial baseline is measured once per kernel and shared by
-        // every worker-count entry, so the curve has a common denominator.
-        let serial_synthesize_ns = measure_ns(
-            || synthesize_with(program, serial_incremental_options()),
-            5,
-            20.0,
-        );
-        let serial_compile_ns = measure_ns(
-            || compile_with(program, serial_incremental_options()),
-            5,
-            20.0,
-        );
-        for &workers in &scaling_worker_counts() {
-            let group = format!("synthesis_parallel_w{workers}");
-            entries.push(FastPathEntry {
-                group: group.clone(),
-                name: format!("{kernel}_synthesize_all_candidates"),
-                reference_ns: serial_synthesize_ns,
-                fast_ns: measure_ns(
-                    || synthesize_with(program, parallel_options(workers)),
-                    5,
-                    20.0,
-                ),
-            });
-            entries.push(FastPathEntry {
-                group,
-                name: format!("{kernel}_compile_uncached"),
-                reference_ns: serial_compile_ns,
-                fast_ns: measure_ns(|| compile_with(program, parallel_options(workers)), 5, 20.0),
-            });
-        }
-    }
     entries
 }
 

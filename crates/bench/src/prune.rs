@@ -5,9 +5,8 @@
 //! well past every family's full enumeration, so the exhaustive side really
 //! scores the whole space).
 //!
-//! Each family runs twice per entry, both sides single-threaded so the
-//! comparison isolates pruning rather than parallel fan-out, and both
-//! mirroring the compiler's cost-model selection: the exhaustive side
+//! Each family runs twice per entry, both sides on one thread (as every
+//! compile runs) and both mirroring the compiler's cost-model selection: the exhaustive side
 //! synthesizes every candidate and estimates each one to find the argmin;
 //! the pruned side runs [`Synthesizer::synthesize_pruned`] with the
 //! [`CompletionBounds`] bounder, which only scores the leaves whose bound
@@ -128,16 +127,12 @@ fn suite() -> Vec<(&'static str, Program)> {
 
 /// The enlarged-choice-space option set: the candidate cap relaxed far past
 /// every family's full enumeration (so the exhaustive side scores the whole
-/// space and the pruned search never declines on the cap), and the walk
-/// forced serial so both sides spend the same single thread and the
-/// counters are deterministic.
+/// space and the pruned search never declines on the cap).
 fn enlarged() -> SynthesisOptions {
     SynthesisOptions {
         max_candidates: 4096,
         node_budget: None,
         beam_width: None,
-        parallel_workers: Some(1),
-        parallel_subtree_depth: Some(0),
         ..SynthesisOptions::default()
     }
 }

@@ -35,11 +35,11 @@ use std::time::{Duration, Instant};
 use hexcute_arch::GpuArch;
 use hexcute_core::{
     faults, CompileError, CompilerOptions, FaultInjector, FaultKind, FaultSpec, KernelArtifact,
-    KernelCacheConfig, SynthesisOptions,
+    KernelCacheConfig,
 };
 use hexcute_e2e::{
-    decode_latency_ms_with, decode_step_programs, CompileService, KernelBackend, ModelConfig,
-    ServiceConfig,
+    decode_latency_ms_with, decode_step_programs, CompileResponse, CompileService, KernelBackend,
+    ModelConfig, ServiceConfig,
 };
 use hexcute_ir::Program;
 use hexcute_parallel::pool_stats;
@@ -87,9 +87,11 @@ pub struct Schedule {
     pub max_retries: usize,
     /// Concurrent client threads replaying the trace.
     pub clients: usize,
-    /// Explicit synthesis worker count (`None` follows `HEXCUTE_THREADS`).
-    /// Pool-fault schedules pin this so the search actually fans out.
-    pub workers: Option<usize>,
+    /// Replay through [`CompileService::compile_batch`] in batches of this
+    /// many consecutive trace programs instead of one `compile` call per
+    /// request. The batch path is the only user of the worker pool, so
+    /// pool-fault schedules set it.
+    pub batch: Option<usize>,
     /// Minimum fraction of requests that must succeed.
     pub floor: f64,
     /// After the replay, verify the trace covered every decode-step kernel
@@ -113,7 +115,7 @@ pub fn schedules() -> Vec<Schedule> {
         shutdown_mid_burst: false,
         max_retries: 2,
         clients: 4,
-        workers: None,
+        batch: None,
         floor: 1.0,
         verify_decode_coverage: false,
     };
@@ -160,9 +162,11 @@ pub fn schedules() -> Vec<Schedule> {
                     .with_seed(13),
             ),
             pool_hook: true,
-            // Pin the worker count so synthesis fans out across the pool
-            // even on single-core hosts — otherwise the schedule is vacuous.
-            workers: Some(4),
+            // Small batches from many clients: many pool jobs, so workers
+            // claim (and die) often. A compilation itself never touches the
+            // pool.
+            batch: Some(2),
+            clients: 8,
             max_retries: 3,
             floor: 0.85,
             ..base.clone()
@@ -291,8 +295,6 @@ pub struct ScheduleResult {
     pub watchdog_trips: u64,
     /// Requests drained with a typed shutdown cancellation.
     pub shutdown_drained: u64,
-    /// Worker-pool items skipped because their job was cancelled.
-    pub pool_cancelled: u64,
     /// 99th-percentile cancel-to-worker-free latency (ms); 0 when nothing
     /// was cancelled. Checked against [`CANCEL_FREE_P99_LIMIT`].
     pub cancel_free_p99_ms: f64,
@@ -336,6 +338,30 @@ struct Tally {
     unexpected: Vec<String>,
     latencies_ms: Vec<f64>,
     artifacts: HashMap<u64, Arc<KernelArtifact>>,
+}
+
+impl Tally {
+    /// Records one request's outcome, observed `ms` after it was issued.
+    fn record(&mut self, ms: f64, outcome: Result<CompileResponse, CompileError>) {
+        self.latencies_ms.push(ms);
+        match outcome {
+            Ok(resp) => {
+                self.ok += 1;
+                self.artifacts
+                    .entry(resp.artifact.fingerprint)
+                    .or_insert_with(|| Arc::clone(&resp.artifact));
+            }
+            Err(CompileError::Overloaded { .. }) => self.overloaded += 1,
+            Err(CompileError::DeadlineExceeded { .. }) => self.deadline_expired += 1,
+            Err(CompileError::Panicked(_)) => self.panicked += 1,
+            Err(CompileError::Cancelled { .. }) => self.cancelled += 1,
+            Err(CompileError::SynthesisTimeout { .. }) => self.watchdog_timeouts += 1,
+            Err(e) => {
+                self.other += 1;
+                self.unexpected.push(e.to_string());
+            }
+        }
+    }
 }
 
 fn unique_temp_dir(tag: &str) -> PathBuf {
@@ -418,13 +444,6 @@ pub fn run_schedule(
         faults: injector.clone(),
         ..ServiceConfig::default()
     };
-    let compiler_options = CompilerOptions {
-        synthesis: SynthesisOptions {
-            parallel_workers: schedule.workers,
-            ..SynthesisOptions::default()
-        },
-        ..CompilerOptions::new()
-    };
     let cache_config = KernelCacheConfig {
         dir: Some(dir.clone()),
         ..KernelCacheConfig::default()
@@ -435,13 +454,13 @@ pub fn run_schedule(
     // instead of hitting the first service's memory front.
     let service = Arc::new(CompileService::with_service_config(
         GpuArch::h100(),
-        compiler_options.clone(),
+        CompilerOptions::new(),
         cache_config.clone(),
         service_config.clone(),
     ));
     let restarted = Arc::new(CompileService::with_service_config(
         GpuArch::h100(),
-        compiler_options,
+        CompilerOptions::new(),
         cache_config,
         service_config,
     ));
@@ -453,6 +472,7 @@ pub fn run_schedule(
         let passes = [Arc::clone(&service), Arc::clone(&restarted)];
         let trace: Arc<Vec<Program>> = Arc::new(trace.to_vec());
         let clients = schedule.clients;
+        let batch = schedule.batch;
         let verify_coverage = schedule.verify_decode_coverage;
         let shutdown_mid_burst = schedule.shutdown_mid_burst;
         std::thread::spawn(move || {
@@ -483,32 +503,18 @@ pub fn run_schedule(
                         // warm after a restart (disk reads under faults).
                         for service in &passes {
                             barrier.wait();
-                            for program in trace.iter() {
+                            // A batch member's response arrives when its
+                            // whole batch returns.
+                            for chunk in trace.chunks(batch.unwrap_or(1)) {
                                 let t0 = Instant::now();
-                                let outcome = service.compile(program);
+                                let outcomes = match batch {
+                                    Some(_) => service.compile_batch(chunk.to_vec()),
+                                    None => vec![service.compile(&chunk[0])],
+                                };
                                 let ms = t0.elapsed().as_secs_f64() * 1e3;
                                 let mut t = tally.lock().unwrap();
-                                t.latencies_ms.push(ms);
-                                match outcome {
-                                    Ok(resp) => {
-                                        t.ok += 1;
-                                        t.artifacts
-                                            .entry(resp.artifact.fingerprint)
-                                            .or_insert_with(|| Arc::clone(&resp.artifact));
-                                    }
-                                    Err(CompileError::Overloaded { .. }) => t.overloaded += 1,
-                                    Err(CompileError::DeadlineExceeded { .. }) => {
-                                        t.deadline_expired += 1
-                                    }
-                                    Err(CompileError::Panicked(_)) => t.panicked += 1,
-                                    Err(CompileError::Cancelled { .. }) => t.cancelled += 1,
-                                    Err(CompileError::SynthesisTimeout { .. }) => {
-                                        t.watchdog_timeouts += 1
-                                    }
-                                    Err(e) => {
-                                        t.other += 1;
-                                        t.unexpected.push(e.to_string());
-                                    }
+                                for outcome in outcomes {
+                                    t.record(ms, outcome);
                                 }
                             }
                         }
@@ -656,7 +662,6 @@ pub fn run_schedule(
         synth_cancelled: cold.cancelled + warm.cancelled,
         watchdog_trips: cold.watchdog_trips + warm.watchdog_trips,
         shutdown_drained: cold.shutdown_drained + warm.shutdown_drained,
-        pool_cancelled: pool_after.cancelled - pool_before.cancelled,
         cancel_free_p99_ms: percentile(&cancel_free_ms, 0.99),
         quarantined: cold.cache.quarantined + warm.cache.quarantined,
         write_failures: cold.cache.write_failures + warm.cache.write_failures,
@@ -710,6 +715,23 @@ pub fn run_schedule(
             &format!(
                 "{}: {} worker deaths but only {} respawns",
                 result.name, result.pool_deaths, result.pool_respawns
+            ),
+        );
+        // A pool-fault schedule that never reached the pool proves
+        // nothing: it must have killed workers and panicked job items.
+        // (With one pool worker, `HEXCUTE_THREADS=1` or a single-core
+        // host, batches run serially and this check fails on purpose.)
+        let job_panics = injector
+            .as_ref()
+            .map_or(0, |i| i.injected(FaultKind::WorkerPanic));
+        checks::check(
+            result.pool_deaths > 0 && job_panics > 0,
+            &format!(
+                "{}: vacuous pool chaos ({} worker deaths, {job_panics} job panics, \
+                 {} pool workers)",
+                result.name,
+                result.pool_deaths,
+                hexcute_parallel::worker_count()
             ),
         );
     }
@@ -796,7 +818,7 @@ pub fn to_json(results: &[ScheduleResult], trace_kernels: usize, distinct: usize
              \"retries\": {},\n      \"synth_panics\": {},\n      \"coalesced\": {},\n      \
              \"syntheses\": {},\n      \"max_queue_depth\": {},\n      \
              \"synth_cancelled\": {},\n      \"watchdog_trips\": {},\n      \
-             \"shutdown_drained\": {},\n      \"pool_cancelled\": {},\n      \
+             \"shutdown_drained\": {},\n      \
              \"cancel_free_p99_ms\": {:.3},\n      \"quarantined\": {},\n      \
              \"write_failures\": {},\n      \"breaker_trips\": {},\n      \
              \"breaker_recoveries\": {},\n      \"stale_version\": {},\n      \
@@ -825,7 +847,6 @@ pub fn to_json(results: &[ScheduleResult], trace_kernels: usize, distinct: usize
             r.synth_cancelled,
             r.watchdog_trips,
             r.shutdown_drained,
-            r.pool_cancelled,
             r.cancel_free_p99_ms,
             r.quarantined,
             r.write_failures,
@@ -953,7 +974,6 @@ mod tests {
             synth_cancelled: 0,
             watchdog_trips: 0,
             shutdown_drained: 0,
-            pool_cancelled: 0,
             cancel_free_p99_ms: 0.0,
             quarantined: 0,
             write_failures: 0,
@@ -983,7 +1003,6 @@ mod tests {
             "\"cancelled\"",
             "\"watchdog_trips\"",
             "\"shutdown_drained\"",
-            "\"pool_cancelled\"",
             "\"cancel_free_p99_ms\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

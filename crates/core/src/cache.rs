@@ -1,7 +1,7 @@
 //! A persistent, disk-backed kernel-artifact cache.
 //!
-//! Synthesizing a kernel is the expensive step of serving it: PRs 1–3 made a
-//! *single* synthesis fast and parallel, but a vLLM-style deployment compiles
+//! Synthesizing a kernel is the expensive step of serving it: even a fast
+//! single synthesis adds up, because a vLLM-style deployment compiles
 //! the same few dozen kernels on every process start. This module caches the
 //! *result* of a compilation — the winning candidate's layouts, the lowered
 //! program, the emitted pseudo-CUDA and the cost/perf breakdowns — keyed by a
@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Toggles that are cross-checked to be bit-identical (the fast path, the
-//! incremental search, worker counts) deliberately do *not* participate, so
+//! incremental search, pruning) deliberately do *not* participate, so
 //! one artifact serves every execution configuration.
 //!
 //! Artifacts are stored as versioned JSON files (`<fingerprint>.json`) under
@@ -122,7 +122,7 @@ impl Hasher for StableHasher {
 /// and H100 artifacts never collide) and every result-affecting compiler
 /// option (see [`SynthesisOptions::hash_stable`]). Execution-strategy
 /// toggles that are cross-checked bit-for-bit — the fast path, the
-/// incremental search, worker counts — are excluded on purpose.
+/// incremental search, pruning — are excluded on purpose.
 ///
 /// [`SynthesisOptions::hash_stable`]: hexcute_synthesis::SynthesisOptions::hash_stable
 pub fn artifact_fingerprint(program: &Program, arch: &GpuArch, options: &CompilerOptions) -> u64 {

@@ -114,7 +114,7 @@ pub enum CompileError {
         /// How long the request had been waiting when it gave up.
         elapsed: std::time::Duration,
     },
-    /// The synthesis panicked (a worker-job crash, possibly injected). The
+    /// The synthesis panicked (a crash, possibly injected). The
     /// kernel itself may be fine — this error is transient and retryable.
     Panicked(String),
     /// The in-flight synthesis was cancelled cooperatively (the request's
@@ -137,8 +137,8 @@ impl CompileError {
     /// Whether a retry of the same request could plausibly succeed.
     /// Synthesis failures are deterministic, overload/deadline outcomes are
     /// the caller's backpressure signal, and cancellations/watchdog trips
-    /// are deliberate bounds; only a panicked synthesis — a crashed worker,
-    /// not a property of the program — is worth retrying.
+    /// are deliberate bounds; only a panicked synthesis — a crash, not a
+    /// property of the program — is worth retrying.
     pub fn is_transient(&self) -> bool {
         matches!(self, CompileError::Panicked(_))
     }
@@ -230,8 +230,8 @@ impl Compiler {
     }
 
     /// [`Compiler::compile`] with a cooperative [`CancelToken`]: the token is
-    /// polled at row granularity by the synthesis walks and at job
-    /// granularity by the scoring fan-out, so a cancel aborts the compile
+    /// polled at row granularity by the synthesis walks and per candidate by
+    /// the scoring loop, so a cancel aborts the compile
     /// promptly with a typed [`CompileError::Cancelled`]. Reissuing a
     /// cancelled request recompiles from scratch and yields the exact same
     /// result a never-cancelled compile would.
@@ -428,10 +428,8 @@ impl Compiler {
     /// Synthesizes every candidate for the program and evaluates each with
     /// both the analytical cost model and the performance simulator.
     ///
-    /// When the fast path is enabled (see [`hexcute_layout::fastpath`]) the
-    /// candidates are scored in parallel across CPU cores, sharing one
-    /// memoizing cost model; order (and therefore candidate selection) is
-    /// identical to the serial reference. With the incremental search on
+    /// The candidates are scored in enumeration order with one memoizing
+    /// cost model. With the incremental search on
     /// (the default, see [`hexcute_synthesis::prefix`]), the performance
     /// simulator additionally reuses the shared cost model's instruction
     /// timeline and memoizes per-operation bank-conflict charges across
@@ -450,7 +448,7 @@ impl Compiler {
     }
 
     /// [`Compiler::compile_candidates`] with a cooperative [`CancelToken`]
-    /// threaded through both the synthesis walks and the scoring fan-out.
+    /// threaded through both the synthesis walks and the scoring loop.
     ///
     /// # Errors
     ///
@@ -467,11 +465,6 @@ impl Compiler {
         // a deterministic prefix of the exhaustive candidate list.
         let candidates = outcome.into_candidates();
         let model = CostModel::new(&self.arch);
-        let workers = self
-            .options
-            .synthesis
-            .parallel_workers
-            .unwrap_or_else(hexcute_parallel::worker_count);
         if self.options.synthesis.incremental && hexcute_synthesis::incremental_enabled() {
             let evaluator = PerfEvaluator::new(&self.arch);
             score_all(
@@ -481,7 +474,6 @@ impl Compiler {
                     let perf = evaluator.evaluate(program, &candidate, &cost);
                     (candidate, cost, perf)
                 },
-                workers,
                 token,
             )
         } else {
@@ -492,7 +484,6 @@ impl Compiler {
                     let perf = estimate_kernel(program, &candidate, &self.arch);
                     (candidate, cost, perf)
                 },
-                workers,
                 token,
             )
         }
@@ -507,40 +498,26 @@ fn cancelled_error(token: &CancelToken) -> CompileError {
     }
 }
 
-/// Scores every candidate, in parallel on the persistent worker pool when
-/// the fast path is on (order preserved) and serially otherwise. `workers`
-/// follows [`hexcute_synthesis::SynthesisOptions::parallel_workers`], so an
-/// explicit override applies to scoring and to the subtree search alike.
-/// A carried token cancels between items (and per pool job in parallel).
+/// Scores every candidate in enumeration order. A carried token cancels
+/// between candidates.
 fn score_all<F>(
     candidates: Vec<Candidate>,
     score: F,
-    workers: usize,
     token: Option<&CancelToken>,
 ) -> Result<Vec<(Candidate, CostBreakdown, PerfReport)>, CompileError>
 where
-    F: Fn(Candidate) -> (Candidate, CostBreakdown, PerfReport) + Sync,
+    F: Fn(Candidate) -> (Candidate, CostBreakdown, PerfReport),
 {
-    if hexcute_layout::fast_path_enabled() {
-        match token {
-            Some(tok) => hexcute_parallel::par_map_cancellable(candidates, score, workers, tok)
-                .ok_or_else(|| cancelled_error(tok)),
-            None => Ok(hexcute_parallel::par_map_with_workers(
-                candidates, score, workers,
-            )),
-        }
-    } else {
-        let mut scored = Vec::with_capacity(candidates.len());
-        for candidate in candidates {
-            if let Some(tok) = token {
-                if tok.is_cancelled() {
-                    return Err(cancelled_error(tok));
-                }
+    let mut scored = Vec::with_capacity(candidates.len());
+    for candidate in candidates {
+        if let Some(tok) = token {
+            if tok.is_cancelled() {
+                return Err(cancelled_error(tok));
             }
-            scored.push(score(candidate));
         }
-        Ok(scored)
+        scored.push(score(candidate));
     }
+    Ok(scored)
 }
 
 #[cfg(test)]

@@ -490,15 +490,14 @@ fn fingerprints_separate_programs_arches_and_options() {
     };
     assert_ne!(base, artifact_fingerprint(&gemm, &a100, &scalar));
     // …but deliberately *not* to execution-strategy toggles, which are
-    // cross-checked bit-for-bit: one artifact serves every thread count.
-    let parallel = CompilerOptions {
+    // cross-checked bit-for-bit: one artifact serves every toggle.
+    let toggled = CompilerOptions {
         synthesis: SynthesisOptions {
-            parallel_workers: Some(7),
-            parallel_subtree_depth: Some(2),
             incremental: false,
+            prune: false,
             ..SynthesisOptions::default()
         },
         ..CompilerOptions::new()
     };
-    assert_eq!(base, artifact_fingerprint(&gemm, &a100, &parallel));
+    assert_eq!(base, artifact_fingerprint(&gemm, &a100, &toggled));
 }

@@ -9,22 +9,23 @@
 //!   `hexcute_layout::set_fast_path`),
 //! * incremental prefix-shared search on/off
 //!   (`HEXCUTE_DISABLE_INCREMENTAL` / `SynthesisOptions::incremental`),
-//! * worker counts 1 and 4 (`HEXCUTE_THREADS` /
-//!   `SynthesisOptions::parallel_workers`),
 //! * deterministic node budgets (`HEXCUTE_SYNTH_BUDGET` /
 //!   `SynthesisOptions::node_budget`): a budget covering the full space is
 //!   bit-identical to the exhaustive search, and a small budget truncates
-//!   to the same prefix at every worker count and toggle,
+//!   to the same prefix under every toggle,
+//! * branch-and-bound pruning on/off (`HEXCUTE_DISABLE_PRUNE` /
+//!   `SynthesisOptions::prune`),
 //! * artifact cache cold vs. warm (memory and disk hits).
 //!
 //! Every new workload family plugs into this harness by construction: adding
-//! a variant to [`Workload`] covers it across all toggles. The CI
-//! `determinism-mt` (`HEXCUTE_THREADS=4`) and `reference-paths`
-//! (`HEXCUTE_DISABLE_FAST_PATH=1 HEXCUTE_DISABLE_INCREMENTAL=1
-//! HEXCUTE_THREADS=1`) legs re-run this file under the env-driven toggles,
-//! so the environment-variable spellings get real coverage too (mutating the
-//! environment of a threaded test process is unsafe, so the in-process sweep
-//! uses the options instead).
+//! a variant to [`Workload`] covers it across all toggles. Each compilation
+//! runs on one thread; the worker-count axis of the suite is the compile
+//! service's batch fan-out (`crates/e2e/tests/batch_conformance.rs`). The
+//! CI `reference-paths` leg (`HEXCUTE_DISABLE_FAST_PATH=1
+//! HEXCUTE_DISABLE_INCREMENTAL=1 HEXCUTE_DISABLE_PRUNE=1`) re-runs this file
+//! under the env-driven toggles, so the environment-variable spellings get
+//! real coverage too (mutating the environment of a threaded test process
+//! is unsafe, so the in-process sweep uses the options instead).
 
 use std::sync::Mutex;
 
@@ -158,29 +159,19 @@ impl Workload {
 
 type Scored = Vec<(Candidate, CostBreakdown, PerfReport)>;
 
-fn compile_config(
-    program: &Program,
-    arch: &GpuArch,
-    incremental: bool,
-    workers: usize,
-    depth: Option<usize>,
-) -> Scored {
-    compile_config_budgeted(program, arch, incremental, workers, depth, None)
+fn compile_config(program: &Program, arch: &GpuArch, incremental: bool) -> Scored {
+    compile_config_budgeted(program, arch, incremental, None)
 }
 
 fn compile_config_budgeted(
     program: &Program,
     arch: &GpuArch,
     incremental: bool,
-    workers: usize,
-    depth: Option<usize>,
     node_budget: Option<usize>,
 ) -> Scored {
     let options = CompilerOptions {
         synthesis: SynthesisOptions {
             incremental,
-            parallel_workers: Some(workers),
-            parallel_subtree_depth: depth,
             node_budget,
             ..SynthesisOptions::default()
         },
@@ -197,14 +188,10 @@ fn synthesize_budgeted(
     program: &Program,
     arch: &GpuArch,
     incremental: bool,
-    workers: usize,
-    depth: Option<usize>,
     node_budget: Option<usize>,
 ) -> (bool, Vec<Candidate>) {
     let options = SynthesisOptions {
         incremental,
-        parallel_workers: Some(workers),
-        parallel_subtree_depth: depth,
         node_budget,
         ..SynthesisOptions::default()
     };
@@ -252,15 +239,11 @@ fn compile_pruned_config(
     program: &Program,
     arch: &GpuArch,
     prune: bool,
-    workers: usize,
-    depth: Option<usize>,
 ) -> hexcute_core::CompiledKernel {
     let options = CompilerOptions {
         synthesis: SynthesisOptions {
             prune,
             beam_width: None,
-            parallel_workers: Some(workers),
-            parallel_subtree_depth: depth,
             ..SynthesisOptions::default()
         },
         use_cost_model: true,
@@ -309,38 +292,27 @@ fn assert_winner_equal(
 
 /// The prune axis of the matrix: exact branch-and-bound must pick the same
 /// winner — same candidate, same cost bits, same perf bits, same emitted
-/// artifact — as the exhaustive ranking, across fast-path on/off × {1, 4}
-/// workers.
+/// artifact — as the exhaustive ranking, with the fast path on and off.
 fn assert_prune_conformance(workload: &Workload, arch: &GpuArch) {
     if !workload.supports(arch) {
         return;
     }
     let program = workload.build();
-    let reference = compile_pruned_config(&program, arch, false, 1, Some(0));
+    let reference = compile_pruned_config(&program, arch, false);
 
-    // Default toggles: pruned serial and pruned parallel.
-    for (label, workers, depth) in [("prune/serial", 1, Some(0)), ("prune/4-workers", 4, None)] {
-        let pruned = compile_pruned_config(&program, arch, true, workers, depth);
-        assert_winner_equal(label, &program, &reference, &pruned);
-    }
+    // Default toggles.
+    let pruned = compile_pruned_config(&program, arch, true);
+    assert_winner_equal("prune", &program, &reference, &pruned);
 
-    // Fast-path-off cells (the fast-path-on cells ran above). The switch is
+    // Fast-path-off cell (the fast-path-on cell ran above). The switch is
     // process-global, so hold the lock while it is flipped.
     {
         let _guard = FASTPATH_LOCK.lock().unwrap();
         let was_fast = hexcute_layout::fast_path_enabled();
         hexcute_layout::set_fast_path(false);
-        let mut runs = Vec::new();
-        for (workers, depth) in [(1, Some(0)), (4, None)] {
-            runs.push((
-                format!("prune/fast-path-off/{workers}-workers"),
-                compile_pruned_config(&program, arch, true, workers, depth),
-            ));
-        }
+        let slow = compile_pruned_config(&program, arch, true);
         hexcute_layout::set_fast_path(was_fast);
-        for (label, pruned) in &runs {
-            assert_winner_equal(label, &program, &reference, pruned);
-        }
+        assert_winner_equal("prune/fast-path-off", &program, &reference, &slow);
     }
 
     // The emitted artifact must be bit-identical too — pruning must be
@@ -403,61 +375,33 @@ fn assert_conformance(workload: &Workload, arch: &GpuArch) {
     }
     let program = workload.build();
 
-    // Reference: full re-evaluation, one worker, serial walk.
-    let reference = compile_config(&program, arch, false, 1, Some(0));
+    // Reference: full re-evaluation.
+    let reference = compile_config(&program, arch, false);
 
-    // Incremental, serial.
-    let inc_serial = compile_config(&program, arch, true, 1, Some(0));
-    assert_scored_equal("incremental/serial", &program, &reference, &inc_serial);
-
-    // Incremental, 4 workers, auto subtree depth (the HEXCUTE_THREADS=4
-    // configuration).
-    let inc_parallel = compile_config(&program, arch, true, 4, None);
-    assert_scored_equal("incremental/4-workers", &program, &reference, &inc_parallel);
-
-    // Reference evaluation on 4 workers (parallel scoring path).
-    let ref_parallel = compile_config(&program, arch, false, 4, None);
-    assert_scored_equal("reference/4-workers", &program, &reference, &ref_parallel);
+    // Incremental prefix-shared walk.
+    let incremental = compile_config(&program, arch, true);
+    assert_scored_equal("incremental", &program, &reference, &incremental);
 
     // Node budget ≥ the full search space is a no-op: bit-identical to the
-    // unbudgeted exhaustive search, at any worker count and on both the
-    // incremental and reference paths (HEXCUTE_SYNTH_BUDGET axis, PR 8).
-    let big_serial = compile_config_budgeted(&program, arch, true, 1, Some(0), Some(usize::MAX));
-    assert_scored_equal("budget-max/serial", &program, &reference, &big_serial);
-    let big_parallel = compile_config_budgeted(&program, arch, false, 4, None, Some(usize::MAX));
-    assert_scored_equal(
-        "budget-max/reference/4-workers",
-        &program,
-        &reference,
-        &big_parallel,
-    );
+    // unbudgeted exhaustive search, on both the incremental and reference
+    // paths (HEXCUTE_SYNTH_BUDGET axis, PR 8).
+    let big_incremental = compile_config_budgeted(&program, arch, true, Some(usize::MAX));
+    assert_scored_equal("budget-max", &program, &reference, &big_incremental);
+    let big_reference = compile_config_budgeted(&program, arch, false, Some(usize::MAX));
+    assert_scored_equal("budget-max/reference", &program, &reference, &big_reference);
 
-    // A small budget truncates deterministically: every (incremental ×
-    // worker-count) configuration reports the same truncation flag and the
-    // same `best_so_far` list — a prefix of the exhaustive enumeration.
-    let exhaustive = synthesize_budgeted(&program, arch, true, 1, Some(0), None);
+    // A small budget truncates deterministically: both evaluation paths
+    // report the same truncation flag and the same `best_so_far` list — a
+    // prefix of the exhaustive enumeration.
+    let exhaustive = synthesize_budgeted(&program, arch, true, None);
     let budget = Some(2usize);
-    let truncated_ref = synthesize_budgeted(&program, arch, true, 1, Some(0), budget);
-    for (label, other) in [
-        (
-            "budget-2/incremental/4-workers",
-            synthesize_budgeted(&program, arch, true, 4, None, budget),
-        ),
-        (
-            "budget-2/reference/serial",
-            synthesize_budgeted(&program, arch, false, 1, Some(0), budget),
-        ),
-        (
-            "budget-2/reference/4-workers",
-            synthesize_budgeted(&program, arch, false, 4, None, budget),
-        ),
-    ] {
-        assert_eq!(
-            truncated_ref, other,
-            "[{label}] budgeted outcome diverged for {}",
-            program.name
-        );
-    }
+    let truncated_ref = synthesize_budgeted(&program, arch, true, budget);
+    assert_eq!(
+        truncated_ref,
+        synthesize_budgeted(&program, arch, false, budget),
+        "[budget-2/reference] budgeted outcome diverged for {}",
+        program.name
+    );
     let (was_truncated, truncated_candidates) = truncated_ref;
     assert_eq!(
         truncated_candidates,
@@ -475,20 +419,20 @@ fn assert_conformance(workload: &Workload, arch: &GpuArch) {
     // Fast path off: the recursive layout algebra and the element-by-element
     // simulator (the HEXCUTE_DISABLE_FAST_PATH configuration). The switch is
     // process-global, so hold the lock while it is flipped. The fast-path-on
-    // cells are the reference / inc_parallel runs above.
+    // cells are the reference / incremental runs above.
     {
         let _guard = FASTPATH_LOCK.lock().unwrap();
         let was_fast = hexcute_layout::fast_path_enabled();
         hexcute_layout::set_fast_path(false);
-        let slow = compile_config(&program, arch, false, 1, Some(0));
-        let slow_parallel = compile_config(&program, arch, true, 4, None);
+        let slow = compile_config(&program, arch, false);
+        let slow_incremental = compile_config(&program, arch, true);
         hexcute_layout::set_fast_path(was_fast);
         assert_scored_equal("fast-path-off", &program, &reference, &slow);
         assert_scored_equal(
-            "fast-path-off/4-workers",
+            "fast-path-off/incremental",
             &program,
             &reference,
-            &slow_parallel,
+            &slow_incremental,
         );
     }
 

@@ -13,8 +13,10 @@
 //!   first requester synthesizes, the rest block on its completion and
 //!   share the resulting artifact.
 //! * **Batching.** [`CompileService::compile_batch`] fans *distinct*
-//!   requests out across the PR 3 persistent worker pool; duplicates within
-//!   a batch deduplicate through the coalescing path.
+//!   requests out across the persistent worker pool — the only
+//!   parallelism in the compile path, since each compilation runs on one
+//!   thread; duplicates within a batch deduplicate through the coalescing
+//!   path.
 //! * **Admission control & fault tolerance** (PR 6). A [`ServiceConfig`]
 //!   bounds concurrent syntheses plus a pending queue (full queue → typed
 //!   load shedding via [`CompileError::Overloaded`]), enforces per-request
@@ -1368,8 +1370,8 @@ impl CompileService {
                     if self.shutdown.load(Ordering::SeqCst) {
                         token.cancel(CancelReason::Shutdown);
                     }
-                    // A panicking synthesis (worker-job crash, injected
-                    // fault) must not strand coalesced waiters: catch the
+                    // A panicking synthesis (a crash or an injected fault)
+                    // must not strand coalesced waiters: catch the
                     // unwind and broadcast a retryable error through the
                     // normal completion path. The `ClaimGuard` abandon
                     // remains as a backstop for panics outside this scope.
@@ -1448,7 +1450,9 @@ impl CompileService {
     /// Serves a batch of compilations concurrently on the persistent worker
     /// pool. Distinct fingerprints synthesize in parallel; duplicate
     /// fingerprints within the batch coalesce onto one synthesis. Results
-    /// are returned in request order.
+    /// are returned in request order, one typed result per member — a
+    /// fault in the pool itself never escapes as a panic (see
+    /// [`CompileService::compile_batch_as`]).
     pub fn compile_batch(
         &self,
         programs: Vec<Program>,
@@ -1459,6 +1463,11 @@ impl CompileService {
     /// [`CompileService::compile_batch`] with an explicit scheduling class
     /// and tenant for every member (autotune sweeps submit as
     /// [`Priority::Background`] so they never crowd out decode compiles).
+    ///
+    /// A panic escaping the pool fan-out (a pool job fault: synthesis panics
+    /// are already caught per request) abandons the parallel map; the batch
+    /// is then re-served on the calling thread, where members that finished
+    /// before the fault come back from the memory cache.
     pub fn compile_batch_as(
         &self,
         programs: Vec<Program>,
@@ -1466,9 +1475,11 @@ impl CompileService {
         tenant: TenantId,
     ) -> Vec<Result<CompileResponse, CompileError>> {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        hexcute_parallel::par_map(programs, |program| {
-            self.compile_as(&program, priority, tenant)
-        })
+        let serve = |program: &Program| self.compile_as(program, priority, tenant);
+        let fanned = panic::catch_unwind(AssertUnwindSafe(|| {
+            hexcute_parallel::par_map(programs.iter().collect(), serve)
+        }));
+        fanned.unwrap_or_else(|_| programs.iter().map(serve).collect())
     }
 
     /// Gracefully shuts the service down: new requests are rejected with a
@@ -1561,6 +1572,11 @@ mod tests {
         kb.build().unwrap()
     }
 
+    /// Held by every test that calls `compile_batch`: the pool fault hook
+    /// is process-wide, so a batch in a sibling test must not see the
+    /// faults one test injects.
+    static POOL_HOOK: Mutex<()> = Mutex::new(());
+
     fn unique_temp_dir(tag: &str) -> std::path::PathBuf {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
         std::env::temp_dir().join(format!(
@@ -1643,6 +1659,7 @@ mod tests {
 
     #[test]
     fn batch_deduplicates_and_preserves_order() {
+        let _hook = POOL_HOOK.lock().unwrap_or_else(|p| p.into_inner());
         let service = CompileService::new(GpuArch::a100());
         let a = small_program("batch_a");
         let b = small_program("batch_b");
@@ -1662,6 +1679,41 @@ mod tests {
             stats.syntheses, 2,
             "three duplicate requests must be served without re-synthesis: {stats}"
         );
+    }
+
+    #[test]
+    fn pool_job_faults_in_a_batch_still_serve_every_member() {
+        // Every pool job item panics: the parallel map is abandoned and the
+        // batch must be re-served on the calling thread, one typed result
+        // per member, bit-identical to compiling each member alone.
+        let _hook = POOL_HOOK.lock().unwrap_or_else(|p| p.into_inner());
+        let injector =
+            FaultInjector::new(FaultSpec::default().with_rate(FaultKind::WorkerPanic, 1.0));
+        let programs: Vec<Program> = (0..4)
+            .map(|i| small_program(&format!("pool_fault_{i}")))
+            .collect();
+        let service = CompileService::new(GpuArch::a100());
+        faults::install_pool_hook(&injector);
+        let outcome =
+            panic::catch_unwind(AssertUnwindSafe(|| service.compile_batch(programs.clone())));
+        faults::clear_pool_hook();
+        let responses = outcome.expect("a pool fault must not escape compile_batch");
+        if hexcute_parallel::worker_count() > 1 {
+            assert!(
+                injector.injected(FaultKind::WorkerPanic) > 0,
+                "the batch must fan out over the pool and hit the fault"
+            );
+        }
+        let alone = CompileService::new(GpuArch::a100());
+        assert_eq!(responses.len(), programs.len());
+        for (program, response) in programs.iter().zip(responses) {
+            let response = response.expect("every member gets its artifact");
+            assert_eq!(
+                *response.artifact,
+                *alone.compile(program).unwrap().artifact
+            );
+        }
+        assert_eq!(service.stats().syntheses, programs.len() as u64);
     }
 
     #[test]
@@ -1734,6 +1786,7 @@ mod tests {
         let service =
             CompileService::with_config(GpuArch::h100(), CompilerOptions::new(), config.clone());
         // A batch over both families: two syntheses, duplicates coalesce.
+        let _hook = POOL_HOOK.lock().unwrap_or_else(|p| p.into_inner());
         let responses = service.compile_batch(vec![
             quant.clone(),
             grouped.clone(),

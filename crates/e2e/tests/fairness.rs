@@ -8,16 +8,18 @@
 //! arrival (ticket) order, independent of `HEXCUTE_THREADS`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
+use std::time::{Duration, Instant};
 
 use hexcute_arch::GpuArch;
 use hexcute_core::{CompilerOptions, KernelCacheConfig};
 use hexcute_e2e::{CompileService, Priority, ServiceConfig, TenantId};
 use hexcute_ir::Program;
 use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
+use hexcute_synthesis::{set_synth_fault_hook, SynthFaultPoint};
 
-/// A kernel that synthesizes long enough for an observable queue to build
-/// up behind it.
+/// The kernel a slot holder synthesizes (held by [`StallGates`] for as long
+/// as the test needs the slot).
 fn slow_program() -> Program {
     fp16_gemm(GemmShape::new(1024, 1024, 1024), GemmConfig::default()).unwrap()
 }
@@ -25,6 +27,102 @@ fn slow_program() -> Program {
 /// Distinct quick kernels (one per waiter, so nothing coalesces).
 fn small_program(k: usize) -> Program {
     fp16_gemm(GemmShape::new(128, 128, k), GemmConfig::default()).unwrap()
+}
+
+/// Thread-name prefixes of the two groups of requests [`StallGates`]
+/// holds: slot holders, and arrivals queued behind them.
+const HOLDER: &str = "slot-holder";
+const ARRIVAL: &str = "arrival";
+
+/// How long a test waits for one step of its schedule before failing.
+const STEP_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Injected stalls that hand a test, not synthesis time, control over when
+/// slots free up. Every synthesis on a [`HOLDER`] thread parks at its stall
+/// sites until the test releases that holder; every synthesis on an
+/// [`ARRIVAL`] thread parks at its first stall site — so only once it has
+/// been granted a slot — until the test releases it. Syntheses on other
+/// threads pass straight through.
+#[derive(Default)]
+struct StallGates {
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    /// Name prefixes of the holder threads released so far.
+    released_holders: Vec<String>,
+    /// Arrival threads that reached a stall site, in order.
+    started: Vec<String>,
+    /// How many of `started` have been released.
+    released: usize,
+}
+
+/// The gates of this test binary, with the synthesis stall hook that
+/// consults them installed on first use.
+fn gates() -> &'static StallGates {
+    static GATES: OnceLock<StallGates> = OnceLock::new();
+    static INSTALL: Once = Once::new();
+    let gates: &'static StallGates = GATES.get_or_init(StallGates::default);
+    INSTALL.call_once(|| {
+        set_synth_fault_hook(Some(Arc::new(move |point| {
+            if point == SynthFaultPoint::Stall {
+                gates.park();
+            }
+            None
+        })));
+    });
+    gates
+}
+
+impl StallGates {
+    fn park(&self) {
+        let thread = std::thread::current();
+        let name = thread.name().unwrap_or_default();
+        let mut state = self.state.lock().unwrap();
+        if name.starts_with(HOLDER) {
+            while !state.released_holders.iter().any(|p| name.starts_with(p)) {
+                state = self.changed.wait(state).unwrap();
+            }
+        } else if name.starts_with(ARRIVAL) {
+            let position = match state.started.iter().position(|n| n == name) {
+                Some(position) => position,
+                None => {
+                    state.started.push(name.to_string());
+                    self.changed.notify_all();
+                    state.started.len() - 1
+                }
+            };
+            while position >= state.released {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+    }
+
+    /// Releases every holder thread whose name starts with `prefix`.
+    fn release_holders(&self, prefix: &str) {
+        let mut state = self.state.lock().unwrap();
+        state.released_holders.push(prefix.to_string());
+        self.changed.notify_all();
+    }
+
+    /// Waits until `granted` unreleased arrivals have started, then
+    /// releases them all.
+    fn release_granted(&self, granted: usize) {
+        let deadline = Instant::now() + STEP_TIMEOUT;
+        let mut state = self.state.lock().unwrap();
+        while state.started.len() - state.released < granted {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(
+                !left.is_zero(),
+                "a granted arrival never started synthesizing"
+            );
+            state = self.changed.wait_timeout(state, left).unwrap().0;
+        }
+        state.released = state.started.len();
+        self.changed.notify_all();
+    }
 }
 
 /// N background waiters park first, then a stream of latency-critical
@@ -49,11 +147,15 @@ fn background_waiters_are_never_starved_and_classes_stay_fifo() {
         config,
     ));
 
-    // Occupy the only slot for long enough (a ~1 s synthesis vs. ~ms of
-    // enqueueing below) that every waiter parks before the first grant.
+    // Occupy the only slot, held by an injected stall until every waiter
+    // has parked, so no grant happens before the queue is complete.
+    let gates = gates();
     let holder = {
         let service = Arc::clone(&service);
-        std::thread::spawn(move || service.compile(&slow_program()))
+        std::thread::Builder::new()
+            .name(format!("{HOLDER}-bg"))
+            .spawn(move || service.compile(&slow_program()))
+            .unwrap()
     };
     while service.stats().syntheses == 0 {
         std::thread::yield_now();
@@ -83,7 +185,7 @@ fn background_waiters_are_never_starved_and_classes_stay_fifo() {
             }
         }));
         while service.stats().queue_depth < parked + 1 {
-            std::thread::sleep(std::time::Duration::from_micros(50));
+            std::thread::sleep(Duration::from_micros(50));
         }
     }
     assert_eq!(
@@ -92,6 +194,7 @@ fn background_waiters_are_never_starved_and_classes_stay_fifo() {
         "the slot holder must still be in flight while the queue builds"
     );
 
+    gates.release_holders(&format!("{HOLDER}-bg"));
     holder.join().unwrap().expect("the slot holder succeeds");
     for handle in handles {
         handle.join().expect("waiter threads must complete");
@@ -145,7 +248,9 @@ fn tenant_bursts_share_the_slots_fairly() {
     ));
 
     // Two distinct slow kernels (they must not coalesce) on two distinct
-    // tenants occupy both slots while the queue builds.
+    // tenants occupy both slots while the queue builds; injected stalls
+    // hold them until every arrival has parked.
+    let gates = gates();
     let holders: Vec<_> = [
         (100u32, GemmShape::new(1024, 1024, 1024)),
         (101u32, GemmShape::new(1024, 1024, 512)),
@@ -153,10 +258,13 @@ fn tenant_bursts_share_the_slots_fairly() {
     .into_iter()
     .map(|(tenant, shape)| {
         let service = Arc::clone(&service);
-        std::thread::spawn(move || {
-            let program = fp16_gemm(shape, GemmConfig::default()).unwrap();
-            service.compile_as(&program, Priority::LatencyCritical, TenantId(tenant))
-        })
+        std::thread::Builder::new()
+            .name(format!("{HOLDER}-t{tenant}"))
+            .spawn(move || {
+                let program = fp16_gemm(shape, GemmConfig::default()).unwrap();
+                service.compile_as(&program, Priority::LatencyCritical, TenantId(tenant))
+            })
+            .unwrap()
     })
     .collect();
     while service.stats().syntheses < 2 {
@@ -175,19 +283,46 @@ fn tenant_bursts_share_the_slots_fairly() {
         let worker = Arc::clone(&service);
         let order = Arc::clone(&order);
         let program = small_program(64 + parked);
-        handles.push(std::thread::spawn(move || {
-            let response = worker.compile_as(&program, Priority::LatencyCritical, TenantId(tenant));
-            response.expect("tenant requests succeed");
-            order.lock().unwrap().push(label);
-        }));
+        let arrival = std::thread::Builder::new().name(format!("{ARRIVAL}-{label}"));
+        handles.push(
+            arrival
+                .spawn(move || {
+                    let response =
+                        worker.compile_as(&program, Priority::LatencyCritical, TenantId(tenant));
+                    response.expect("tenant requests succeed");
+                    order.lock().unwrap().push(label);
+                })
+                .unwrap(),
+        );
         while service.stats().queue_depth < parked + 1 {
-            std::thread::sleep(std::time::Duration::from_micros(50));
+            std::thread::sleep(Duration::from_micros(50));
         }
     }
-
+    gates.release_holders(&format!("{HOLDER}-t"));
     for holder in holders {
         holder.join().unwrap().expect("the slot holders succeed");
     }
+    // Granted arrivals then run in rounds: every arrival holding a slot is
+    // released, and the next round starts once all of them completed. A
+    // round's grants are made under the admission lock as its members
+    // free their slots, so which requests share a round is the scheduler's
+    // decision, and nothing depends on how long a synthesis takes or how
+    // the host schedules threads.
+    let mut completed = 0;
+    while completed < handles.len() {
+        let granted = handles.len() - completed - service.stats().queue_depth;
+        gates.release_granted(granted);
+        completed += granted;
+        let deadline = Instant::now() + STEP_TIMEOUT;
+        while order.lock().unwrap().len() < completed {
+            assert!(
+                Instant::now() < deadline,
+                "a released arrival never completed"
+            );
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+
     for handle in handles {
         handle.join().expect("tenant threads must complete");
     }

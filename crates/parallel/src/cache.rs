@@ -1,12 +1,14 @@
 //! A sharded concurrent memo map with hit/miss/eviction counters.
 //!
-//! The incremental search shares its memo caches (per-tensor shared-memory
+//! The memo caches of the compile pipeline (per-tensor shared-memory
 //! finishing, whole-candidate cost estimates, bank-conflict charges,
-//! simulator index tables) across the worker pool. Every cached value is a
-//! *pure function of its key*, so the maps only need to be safe and cheap
-//! under concurrency — a racing recomputation returns a bit-identical value
-//! and either insert may win without affecting results. Keys are spread over
-//! independently locked shards so parallel workers rarely contend.
+//! simulator index tables) and the kernel-artifact cache's memory front are
+//! `ShardedMap`s, shared by every thread that reaches them. Every cached
+//! value is a *pure function of its key*, so the maps only need to be safe
+//! and cheap under concurrency — a racing recomputation returns a
+//! bit-identical value and either insert may win without affecting results.
+//! Keys are spread over independently locked shards so concurrent requests
+//! rarely contend.
 //!
 //! Growth can be bounded with [`ShardedMap::bounded`]: when an insert would
 //! push a shard past its per-shard capacity the shard is cleared (simple

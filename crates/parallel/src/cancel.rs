@@ -3,7 +3,8 @@
 //! A [`CancelToken`] is a cheaply clonable handle to one shared cancel flag.
 //! The *canceller* (a deadline enforcer, a watchdog thread, a shutdown path)
 //! calls [`CancelToken::cancel`] with a [`CancelReason`]; the *workers*
-//! (search walks, pool jobs) poll [`CancelToken::is_cancelled`] — a single
+//! (the synthesis walks and candidate scoring) poll
+//! [`CancelToken::is_cancelled`] — a single
 //! relaxed atomic load — at natural yield points and abort promptly when it
 //! trips. Cancellation is strictly cooperative: nothing is interrupted
 //! preemptively, so a worker is always between two poll points when it
@@ -20,7 +21,7 @@
 //! search — the node budget of `HEXCUTE_SYNTH_BUDGET` — is not part of the
 //! token: budgets must produce bit-identical results at any thread count, so
 //! they are applied by truncating the deterministic enumeration *before* the
-//! walk fans out, never by racing workers against a shared counter.
+//! walk starts, never by racing a wall clock.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -1,12 +1,12 @@
 //! # hexcute-parallel
 //!
-//! A small parallel-map helper backed by a **persistent worker pool**. The
-//! synthesis engine and the compiler driver fan candidate enumeration,
-//! subtree search, shared-memory synthesis and cost scoring out across CPU
-//! cores with [`par_map`]; the environment variable `HEXCUTE_THREADS` caps
-//! the worker count (`1` forces the serial path, useful for profiling and
-//! for before/after benchmarking, and `0` means "auto": use the machine's
-//! available parallelism).
+//! A small parallel-map helper backed by a **persistent worker pool**. One
+//! compilation runs on one thread; the pool fans *distinct* compilations out
+//! across CPU cores (the compile service's batch path uses [`par_map`]).
+//! The environment variable `HEXCUTE_THREADS` caps the worker count (`1`
+//! forces the serial path, useful for profiling and for before/after
+//! benchmarking, and `0` means "auto": use the machine's available
+//! parallelism).
 //!
 //! The API is a deliberately tiny subset of what `rayon` would provide: an
 //! order-preserving map over an owned `Vec`. Work is distributed by an
@@ -14,29 +14,25 @@
 //!
 //! ## The pool
 //!
-//! Earlier revisions spawned a fresh `std::thread::scope` per call; with the
-//! search tree now fanning out many small maps per compilation, the per-call
-//! spawn overhead dominated. Worker threads are instead spawned lazily on
-//! first use and parked on a condition variable between jobs; a job is a
+//! Worker threads are spawned lazily on first use and parked on a
+//! condition variable between jobs instead of per call; a job is a
 //! type-erased handle to state on the submitting thread's stack, and the
 //! submitting thread always participates in its own job, so a nested
 //! [`par_map`] issued from inside a pool worker always makes progress even
 //! when every other pool thread is busy.
 //!
 //! The [`cache`] module provides the sharded concurrent memo map the
-//! synthesis/cost/simulation caches use to stay safe (and mostly
-//! uncontended) when the parallel search shares them across workers. The
-//! [`cancel`] module provides the cooperative [`cancel::CancelToken`] that
-//! [`par_map_cancellable`] and the synthesis walks poll so a deadline,
-//! watchdog or shutdown can abort in-flight work promptly (skipped items are
-//! counted in [`PoolStats::cancelled`]).
+//! synthesis/cost/simulation caches and the kernel-artifact cache use to
+//! stay safe (and mostly uncontended) when concurrent requests share them.
+//! The [`cancel`] module provides the cooperative [`cancel::CancelToken`]
+//! the synthesis walks poll so a deadline, watchdog or shutdown can abort an
+//! in-flight compilation promptly.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
 pub mod cancel;
-pub mod incumbent;
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -170,27 +166,14 @@ pub struct PoolStats {
     /// Workers revived after a death; equals [`PoolStats::deaths`] unless a
     /// revival itself failed.
     pub respawns: u64,
-    /// Job items skipped because their job's [`cancel::CancelToken`] tripped
-    /// before they ran (see [`par_map_cancellable`]).
-    pub cancelled: u64,
-    /// Background (best-effort) jobs executed by pool workers in otherwise
-    /// idle time (see [`spawn_background`]).
-    pub background: u64,
 }
 
 impl std::fmt::Display for PoolStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} workers, {} jobs, {} items ({} cancelled), {} background, \
-             {} deaths / {} respawns",
-            self.spawned,
-            self.jobs,
-            self.items,
-            self.cancelled,
-            self.background,
-            self.deaths,
-            self.respawns
+            "{} workers, {} jobs, {} items, {} deaths / {} respawns",
+            self.spawned, self.jobs, self.items, self.deaths, self.respawns
         )
     }
 }
@@ -199,8 +182,6 @@ static POOL_JOBS: AtomicU64 = AtomicU64::new(0);
 static POOL_ITEMS: AtomicU64 = AtomicU64::new(0);
 static POOL_DEATHS: AtomicU64 = AtomicU64::new(0);
 static POOL_RESPAWNS: AtomicU64 = AtomicU64::new(0);
-static POOL_CANCELLED: AtomicU64 = AtomicU64::new(0);
-static POOL_BACKGROUND: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the pool's lifetime counters.
 pub fn pool_stats() -> PoolStats {
@@ -210,8 +191,6 @@ pub fn pool_stats() -> PoolStats {
         items: POOL_ITEMS.load(Ordering::Relaxed),
         deaths: POOL_DEATHS.load(Ordering::Relaxed),
         respawns: POOL_RESPAWNS.load(Ordering::Relaxed),
-        cancelled: POOL_CANCELLED.load(Ordering::Relaxed),
-        background: POOL_BACKGROUND.load(Ordering::Relaxed),
     }
 }
 
@@ -283,18 +262,8 @@ struct QueuedJob {
     tickets: usize,
 }
 
-/// A queued best-effort job (see [`spawn_background`]).
-type BackgroundJob = Box<dyn FnOnce() + Send + 'static>;
-
 struct PoolInner {
     queue: VecDeque<QueuedJob>,
-    /// Best-effort jobs stolen by workers only when no foreground
-    /// ([`par_map`]) job offers a ticket: foreground latency is never spent
-    /// on speculative work.
-    background: VecDeque<BackgroundJob>,
-    /// Background jobs claimed but not yet finished (for
-    /// [`background_pending`]).
-    background_active: usize,
     idle: usize,
     spawned: usize,
     next_id: u64,
@@ -310,8 +279,6 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool {
         inner: Mutex::new(PoolInner {
             queue: VecDeque::new(),
-            background: VecDeque::new(),
-            background_active: 0,
             idle: 0,
             spawned: 0,
             next_id: 0,
@@ -407,66 +374,12 @@ impl Pool {
                 unsafe { (handle.run)(handle.state) };
                 unsafe { (*handle.gate).leave() };
                 inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-            } else if let Some(job) = inner.background.pop_front() {
-                // Work stealing for the background class: only reached when
-                // no foreground job offers a ticket, so speculative work
-                // soaks up otherwise idle workers and nothing else. A
-                // panicking background job is caught here — best-effort work
-                // must never kill (or even respawn-cycle) a pool worker.
-                inner.background_active += 1;
-                drop(inner);
-                let _ = panic::catch_unwind(AssertUnwindSafe(job));
-                POOL_BACKGROUND.fetch_add(1, Ordering::Relaxed);
-                inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-                inner.background_active -= 1;
             } else {
                 inner.idle += 1;
                 inner = self.work.wait(inner).unwrap_or_else(|p| p.into_inner());
                 inner.idle -= 1;
             }
         }
-    }
-}
-
-/// Enqueues a best-effort job on the persistent pool's **background lane**.
-///
-/// Pool workers steal background jobs only when no foreground [`par_map`]
-/// job offers a helper ticket, so best-effort work consumes spare pool
-/// capacity and never delays a foreground map. A worker is spawned lazily if none exists yet; panics
-/// inside `f` are caught and discarded (best-effort semantics). Executed
-/// jobs are counted in [`PoolStats::background`].
-pub fn spawn_background(f: impl FnOnce() + Send + 'static) {
-    let pool = pool();
-    let mut inner = pool.inner.lock().unwrap_or_else(|p| p.into_inner());
-    inner.background.push_back(Box::new(f));
-    if inner.idle == 0 && inner.spawned < worker_count().max(1) {
-        // No parked worker to steal the job and the pool is below its
-        // configured width: grow it by one (busy workers pick the job up
-        // later either way).
-        pool.spawn_workers(&mut inner, 1);
-    }
-    drop(inner);
-    pool.work.notify_all();
-}
-
-/// Background jobs not yet finished: queued plus currently executing.
-pub fn background_pending() -> usize {
-    let inner = pool().inner.lock().unwrap_or_else(|p| p.into_inner());
-    inner.background.len() + inner.background_active
-}
-
-/// Blocks until the background lane is idle (no queued or executing jobs) or
-/// `timeout` passes; returns whether it drained.
-pub fn wait_background_idle(timeout: std::time::Duration) -> bool {
-    let deadline = std::time::Instant::now() + timeout;
-    loop {
-        if background_pending() == 0 {
-            return true;
-        }
-        if std::time::Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(200));
     }
 }
 
@@ -504,10 +417,6 @@ struct JobShared<'f, T, R, F> {
     n: usize,
     cursor: AtomicUsize,
     panicked: AtomicBool,
-    /// Set once any worker skips an item because `cancel` tripped; the
-    /// submitter then discards the (partially filled) results.
-    cancelled: AtomicBool,
-    cancel: Option<&'f cancel::CancelToken>,
     payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
@@ -528,15 +437,6 @@ where
         let i = job.cursor.fetch_add(1, Ordering::Relaxed);
         if i >= job.n {
             break;
-        }
-        // A tripped cancel token drains the remaining indices without
-        // running the closure: each skipped item is counted exactly once
-        // (the cursor hands out every index exactly once) and the job is
-        // flagged so the submitter returns `None` instead of partial output.
-        if job.cancel.is_some_and(|t| t.is_cancelled()) {
-            job.cancelled.store(true, Ordering::Relaxed);
-            POOL_CANCELLED.fetch_add(1, Ordering::Relaxed);
-            continue;
         }
         // SAFETY: the cursor hands each index to exactly one worker, so this
         // cell is not accessed by any other thread.
@@ -609,53 +509,8 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    par_map_inner(items, f, workers, None).expect("uncancellable maps always complete")
-}
-
-/// [`par_map_with_workers`] gated by a [`cancel::CancelToken`]: every worker
-/// re-checks the token before claiming its next item, so a cancelled map
-/// stops within one item's work per worker. Returns `None` — and counts the
-/// skipped items in [`PoolStats::cancelled`] — when the token tripped before
-/// all items ran; a token that trips only after the last item was claimed
-/// still yields the complete `Some(results)`.
-pub fn par_map_cancellable<T, R, F>(
-    items: Vec<T>,
-    f: F,
-    workers: usize,
-    token: &cancel::CancelToken,
-) -> Option<Vec<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    par_map_inner(items, f, workers, Some(token))
-}
-
-/// The shared implementation of the [`par_map`] family. `None` (cancelled)
-/// is only possible when a `token` was supplied.
-fn par_map_inner<T, R, F>(
-    items: Vec<T>,
-    f: F,
-    workers: usize,
-    token: Option<&cancel::CancelToken>,
-) -> Option<Vec<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
     if workers <= 1 || items.len() <= 1 {
-        let n = items.len();
-        let mut out = Vec::with_capacity(n);
-        for (i, item) in items.into_iter().enumerate() {
-            if token.is_some_and(|t| t.is_cancelled()) {
-                POOL_CANCELLED.fetch_add((n - i) as u64, Ordering::Relaxed);
-                return None;
-            }
-            out.push(f(item));
-        }
-        return Some(out);
+        return items.into_iter().map(f).collect();
     }
 
     let n = items.len();
@@ -678,8 +533,6 @@ where
         n,
         cursor: AtomicUsize::new(0),
         panicked: AtomicBool::new(false),
-        cancelled: AtomicBool::new(false),
-        cancel: token,
         payload: Mutex::new(None),
     };
     let gate = DoneGate::new();
@@ -699,16 +552,11 @@ where
     if let Some(e) = first_panic {
         panic::resume_unwind(e);
     }
-    if job.cancelled.load(Ordering::Relaxed) {
-        return None;
-    }
-    Some(
-        job.results
-            .cells
-            .into_iter()
-            .map(|cell| cell.into_inner().expect("worker filled every slot"))
-            .collect(),
-    )
+    job.results
+        .cells
+        .into_iter()
+        .map(|cell| cell.into_inner().expect("worker filled every slot"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -944,132 +792,8 @@ mod tests {
     }
 
     #[test]
-    fn background_jobs_run_and_are_counted() {
-        let before = pool_stats().background;
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let done = done.clone();
-            spawn_background(move || {
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert!(
-            wait_background_idle(std::time::Duration::from_secs(10)),
-            "background lane did not drain"
-        );
-        assert_eq!(done.load(Ordering::Relaxed), 8);
-        assert!(pool_stats().background >= before + 8);
-    }
-
-    #[test]
-    fn panicking_background_job_does_not_kill_the_worker() {
-        let before = pool_stats();
-        spawn_background(|| panic!("background boom"));
-        assert!(wait_background_idle(std::time::Duration::from_secs(10)));
-        // The panic is absorbed: no worker death, and both lanes keep
-        // working afterwards.
-        let done = Arc::new(AtomicUsize::new(0));
-        let d = done.clone();
-        spawn_background(move || {
-            d.fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(wait_background_idle(std::time::Duration::from_secs(10)));
-        assert_eq!(done.load(Ordering::Relaxed), 1);
-        let out = par_map_with_workers((0..64).collect::<Vec<_>>(), |x| x + 1, 4);
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
-        let after = pool_stats();
-        assert_eq!(
-            after.deaths - before.deaths,
-            after.respawns - before.respawns,
-            "a background panic must not leave a dead worker behind"
-        );
-    }
-
-    #[test]
-    fn foreground_maps_are_served_before_background_jobs() {
-        // Saturate the background lane with slow jobs, then issue a
-        // foreground map: workers must prefer the ticketed foreground job at
-        // every claim, so the map completes while background work is still
-        // pending. (Timing-free: we only assert completion, plus that the
-        // background jobs do eventually run.)
-        let bg_done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..4 {
-            let bg_done = bg_done.clone();
-            spawn_background(move || {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                bg_done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        let out = par_map_with_workers((0..128).collect::<Vec<_>>(), |x| x * 2, 4);
-        assert_eq!(out, (0..128).map(|x| x * 2).collect::<Vec<_>>());
-        assert!(wait_background_idle(std::time::Duration::from_secs(10)));
-        assert_eq!(bg_done.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
     fn no_hook_means_no_injection() {
         assert!(!fault_fires(PoolFaultPoint::JobItem));
         assert!(!fault_fires(PoolFaultPoint::WorkerClaim));
-    }
-
-    #[test]
-    fn uncancelled_token_completes_like_a_plain_map() {
-        let token = cancel::CancelToken::new();
-        let out = par_map_cancellable((0..128).collect::<Vec<_>>(), |x| x * 3, 4, &token);
-        assert_eq!(out, Some((0..128).map(|x| x * 3).collect::<Vec<_>>()));
-        let serial = par_map_cancellable((0..128).collect::<Vec<_>>(), |x| x * 3, 1, &token);
-        assert_eq!(serial, out);
-    }
-
-    #[test]
-    fn pre_cancelled_token_skips_everything_and_counts() {
-        let token = cancel::CancelToken::new();
-        token.cancel(cancel::CancelReason::Shutdown);
-        for workers in [1, 4] {
-            let before = pool_stats().cancelled;
-            let ran = AtomicUsize::new(0);
-            let out = par_map_cancellable(
-                (0..64).collect::<Vec<usize>>(),
-                |x| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    x
-                },
-                workers,
-                &token,
-            );
-            assert_eq!(out, None, "{workers} workers");
-            assert_eq!(ran.load(Ordering::Relaxed), 0, "{workers} workers");
-            assert!(
-                pool_stats().cancelled >= before + 64,
-                "skipped items must be counted ({workers} workers)"
-            );
-        }
-    }
-
-    #[test]
-    fn mid_flight_cancel_stops_within_the_poll_bound() {
-        // Cancel from inside the closure: every worker stops at its next
-        // claim, so far fewer than all items run.
-        let token = cancel::CancelToken::new();
-        let ran = AtomicUsize::new(0);
-        let out = par_map_cancellable(
-            (0..4096).collect::<Vec<usize>>(),
-            |x| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                if x == 0 {
-                    token.cancel(cancel::CancelReason::Deadline);
-                }
-                x
-            },
-            4,
-            &token,
-        );
-        assert_eq!(out, None);
-        let executed = ran.load(Ordering::Relaxed);
-        assert!(executed >= 1);
-        assert!(
-            executed < 4096,
-            "cancellation must abort the map early, ran {executed} items"
-        );
     }
 }

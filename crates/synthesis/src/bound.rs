@@ -47,10 +47,7 @@ pub struct SearchSpace {
 }
 
 /// Scores candidates and bounds completions for the branch-and-bound walk.
-///
-/// Implementations must be [`Sync`]: the parallel subtree walk shares one
-/// bounder across workers.
-pub trait SearchBounder: Sync {
+pub trait SearchBounder {
     /// Precomputes whatever per-problem tables the bounder needs (per-op
     /// minimum-cost tables in practice). Called once, before any scoring.
     fn prepare(&mut self, space: &SearchSpace);
@@ -73,9 +70,7 @@ pub trait SearchBounder: Sync {
 
 /// The result of a pruned (branch-and-bound, optionally beamed) search: the
 /// winner only. Pruned walks skip dominated leaves, so — unlike
-/// [`crate::SynthesisOutcome`] — no survivor *list* is reported: which
-/// non-winning leaves were scored depends on incumbent timing and is not
-/// deterministic across worker counts. The winner and its score are.
+/// [`crate::SynthesisOutcome`] — no survivor *list* is reported.
 #[derive(Debug, Clone)]
 pub struct PrunedOutcome {
     /// The winning candidate — bit-identical to the exhaustive winner in
@@ -94,8 +89,6 @@ pub struct PrunedOutcome {
     /// Whether the beam dropped any prefix (always `false` without a
     /// configured beam width).
     pub beamed: bool,
-    /// Walk counters, including the pruning counters. The pruning counters
-    /// depend on incumbent timing and are **not** deterministic across
-    /// worker counts; the winner is.
+    /// Walk counters, including the pruning counters.
     pub stats: PrefixStats,
 }

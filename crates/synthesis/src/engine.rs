@@ -9,7 +9,7 @@ use hexcute_arch::{
 };
 use hexcute_ir::{Op, OpId, OpKind, Program, TensorId};
 use hexcute_layout::{Layout, RepeatMode, TvLayout};
-use hexcute_parallel::cancel::{CancelReason, CancelToken};
+use hexcute_parallel::cancel::CancelToken;
 
 use crate::choice::{Candidate, CopyChoice, MmaChoice, RearrangeFix};
 use crate::constraints::{collapse_dim, contiguous_run_along, same_distribution};
@@ -22,9 +22,8 @@ use crate::smem::synthesize_smem_layouts;
 ///
 /// The deterministic node budget ([`SynthesisOptions::node_budget`]) bounds
 /// how many selections the enumeration evaluates by truncating the
-/// deterministic selection list *before* the walk fans out, so a truncated
-/// outcome is bit-identical at any worker count and for the incremental and
-/// reference paths alike. Contrast with wall-clock cancellation, which
+/// deterministic selection list *before* the walk starts, so a truncated
+/// outcome is bit-identical for the incremental and reference paths alike. Contrast with wall-clock cancellation, which
 /// yields a typed [`SynthesisError::Cancelled`] and never a partial result.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SynthesisOutcome {
@@ -163,8 +162,7 @@ impl<'a> Synthesizer<'a> {
         Ok(self.synthesize_with_stats()?.0)
     }
 
-    /// [`Synthesizer::synthesize`] plus the prefix-sharing and parallel-walk
-    /// counters (see [`crate::prefix::PrefixStats`]); the stats are `None`
+    /// [`Synthesizer::synthesize`] plus the prefix-sharing counters (see [`crate::prefix::PrefixStats`]); the stats are `None`
     /// when the re-evaluating reference path ran instead of the incremental
     /// search.
     ///
@@ -182,7 +180,7 @@ impl<'a> Synthesizer<'a> {
     /// deterministic node budget of [`SynthesisOptions::node_budget`]
     /// (reported as [`SynthesisOutcome::Truncated`]) and an optional
     /// wall-clock [`CancelToken`] polled cooperatively at row granularity by
-    /// the walks and at job granularity by the worker pool.
+    /// the walks.
     ///
     /// # Errors
     ///
@@ -197,8 +195,8 @@ impl<'a> Synthesizer<'a> {
         let plans = self.build_copy_plans(&base)?;
         let mut selections = self.enumerate_selections(&plans);
         // The node budget truncates the deterministic enumeration *before*
-        // either evaluation path fans out, which is what makes a truncated
-        // outcome bit-identical across worker counts and toggles. (A budget
+        // either evaluation path starts, which is what makes a truncated
+        // outcome bit-identical across toggles. (A budget
         // of 0 is clamped to 1: the preferred selection always runs.)
         let truncated = match self.options.node_budget {
             Some(budget) if selections.len() > budget.max(1) => {
@@ -209,8 +207,7 @@ impl<'a> Synthesizer<'a> {
         };
         let max = self.options.max_candidates.max(1);
         let (finished, stats) = if self.options.incremental && crate::incremental_enabled() {
-            let (finished, stats) =
-                self.evaluate_incremental_with_stats(&base, &plans, &selections, max, token)?;
+            let (finished, stats) = self.walk_serial(&base, &plans, &selections, max, token)?;
             (finished, Some(stats))
         } else {
             (
@@ -232,11 +229,9 @@ impl<'a> Synthesizer<'a> {
     }
 
     /// The reference evaluation: every candidate is materialized and its
-    /// shared-memory layouts are synthesized from scratch. When the fast
-    /// path is on the candidates are finished in parallel (order preserved);
-    /// the serial loop is the pre-fast-path behaviour. `token` (when
-    /// carried) cancels cooperatively, per candidate here and per job in
-    /// the pool — a tripped token yields [`SynthesisError::Cancelled`].
+    /// shared-memory layouts are synthesized from scratch. `token` (when
+    /// carried) cancels cooperatively, per candidate — a tripped token
+    /// yields [`SynthesisError::Cancelled`].
     pub(crate) fn evaluate_reference(
         &self,
         base: &TvBase,
@@ -274,62 +269,22 @@ impl<'a> Synthesizer<'a> {
                 }
             }
         };
-        if hexcute_layout::fast_path_enabled() {
-            // The parallel branch finishes every selection and applies the
-            // cap afterwards (workers cannot know how many earlier
-            // selections will survive feasibility filtering); with the
-            // default `max_candidates` (larger than any enumeration) no
-            // discarded work occurs.
-            let candidates: Vec<Candidate> = selections
-                .iter()
-                .map(|sel| self.materialize_candidate(base, plans, sel))
-                .collect();
-            let finish_checked =
-                |candidate: Candidate| -> std::result::Result<Option<Candidate>, CancelReason> {
-                    if let Some(reason) = hooks::injected_stall(token) {
-                        return Err(reason);
-                    }
-                    Ok(finish(candidate))
-                };
-            let results = match token {
-                Some(tok) => hexcute_parallel::par_map_cancellable(
-                    candidates,
-                    finish_checked,
-                    hexcute_parallel::worker_count().max(1),
-                    tok,
-                )
-                .ok_or_else(|| {
-                    SynthesisError::Cancelled(tok.reason().unwrap_or(CancelReason::Shutdown))
-                })?,
-                None => hexcute_parallel::par_map(candidates, finish_checked),
-            };
-            let mut finished = Vec::with_capacity(max.min(results.len()));
-            for result in results {
-                if let Some(done) = result.map_err(SynthesisError::Cancelled)? {
-                    if finished.len() < max {
-                        finished.push(done);
-                    }
-                }
+        let mut finished = Vec::new();
+        for sel in selections {
+            if finished.len() >= max {
+                break;
             }
-            Ok(finished)
-        } else {
-            let mut finished = Vec::new();
-            for sel in selections {
-                if finished.len() >= max {
-                    break;
-                }
-                if let Some(reason) = hooks::injected_stall(token) {
-                    return Err(SynthesisError::Cancelled(reason));
-                }
-                if let Some(reason) = hooks::poll_cancelled(token) {
-                    return Err(SynthesisError::Cancelled(reason));
-                }
-                if let Some(done) = finish(self.materialize_candidate(base, plans, sel)) {
-                    finished.push(done);
-                }
+            if let Some(reason) = hooks::injected_stall(token) {
+                return Err(SynthesisError::Cancelled(reason));
             }
-            Ok(finished)
+            if let Some(reason) = hooks::poll_cancelled(token) {
+                return Err(SynthesisError::Cancelled(reason));
+            }
+            if let Some(done) = finish(self.materialize_candidate(base, plans, sel)) {
+                finished.push(done);
+            }
         }
+        Ok(finished)
     }
 
     /// Convenience wrapper returning only the preferred candidate.
@@ -1087,7 +1042,7 @@ impl<'a> Synthesizer<'a> {
     ///
     /// With [`SynthesisOptions::beam_width`] set, per-depth prefix frontiers
     /// are truncated by bound rank (stable, enumeration-ordered) before the
-    /// walk — lossy but bit-identical across worker counts.
+    /// walk — lossy but deterministic.
     ///
     /// # Errors
     ///
@@ -1147,8 +1102,8 @@ impl<'a> Synthesizer<'a> {
     }
 
     /// Truncates each per-depth prefix frontier to the `width` prefixes with
-    /// the best completion bounds. Everything is deterministic and
-    /// worker-independent: prefixes are listed in first-occurrence
+    /// the best completion bounds. Everything is deterministic: prefixes are
+    /// listed in first-occurrence
     /// (enumeration) order, ranked by `(bound, first occurrence)` under
     /// [`f64::total_cmp`], and surviving selections keep their enumeration
     /// order. Returns whether any prefix was dropped.
@@ -1654,7 +1609,7 @@ mod tests {
 
         // The incremental path agrees bit for bit, including on fallbacks.
         let incremental = synth
-            .evaluate_incremental_with_stats(&base, &plans, &selections, 1, None)
+            .walk_serial(&base, &plans, &selections, 1, None)
             .unwrap()
             .0;
         assert_eq!(reference, incremental);
@@ -1664,7 +1619,7 @@ mod tests {
             .evaluate_reference(&base, &plans, &selections, usize::MAX, None)
             .unwrap();
         let all_inc = synth
-            .evaluate_incremental_with_stats(&base, &plans, &selections, usize::MAX, None)
+            .walk_serial(&base, &plans, &selections, usize::MAX, None)
             .unwrap()
             .0;
         assert_eq!(all_ref, all_inc);
@@ -1683,7 +1638,7 @@ mod tests {
             .evaluate_reference(&base, &plans, &selections, usize::MAX, None)
             .unwrap();
         let (incremental, stats) = synth
-            .evaluate_incremental_with_stats(&base, &plans, &selections, usize::MAX, None)
+            .walk_serial(&base, &plans, &selections, usize::MAX, None)
             .unwrap();
         assert_eq!(reference, incremental);
         // The sharing must actually kick in: siblings re-finish only the
@@ -1719,14 +1674,13 @@ mod tests {
         assert_eq!(outcome.candidates(), &exhaustive[..]);
 
         // A tight budget truncates: the preferred prefix of the exhaustive
-        // list, bit-identical across the serial and parallel walks and the
-        // reference path.
+        // list, bit-identical across the incremental walk and the reference
+        // path.
         let mut results = Vec::new();
-        for (incremental, workers) in [(true, 1), (true, 4), (false, 1)] {
+        for incremental in [true, false] {
             let tight = SynthesisOptions {
                 node_budget: Some(2),
                 incremental,
-                parallel_workers: Some(workers),
                 ..SynthesisOptions::default()
             };
             let (outcome, _) = Synthesizer::new(&program, &arch, tight)
@@ -1735,8 +1689,7 @@ mod tests {
             assert!(outcome.is_truncated(), "2 < full space must truncate");
             results.push(outcome.into_candidates());
         }
-        assert_eq!(results[0], results[1], "serial vs parallel walk");
-        assert_eq!(results[0], results[2], "incremental vs reference");
+        assert_eq!(results[0], results[1], "incremental vs reference");
         assert_eq!(
             results[0],
             exhaustive[..results[0].len()],

@@ -32,7 +32,7 @@
 //! Searches can be bounded two ways: a deterministic node budget
 //! ([`SynthesisOptions::node_budget`] / `HEXCUTE_SYNTH_BUDGET`) truncates the
 //! enumeration up front and reports [`SynthesisOutcome::Truncated`]
-//! bit-identically at any worker count, while a wall-clock [`CancelToken`]
+//! bit-identically under every toggle, while a wall-clock [`CancelToken`]
 //! (deadline, watchdog, shutdown) is polled cooperatively at row granularity
 //! and aborts the walk with a typed [`SynthesisError::Cancelled`] — never a
 //! partial result.
@@ -40,11 +40,11 @@
 //! When the caller can score candidates (the compiler's cost model), the
 //! search can also run as lossless branch-and-bound
 //! ([`Synthesizer::synthesize_pruned`] with a [`SearchBounder`]): subtrees
-//! whose admissible completion bound cannot beat the shared incumbent are
+//! whose admissible completion bound cannot beat the incumbent are
 //! cut, and the winner is bit-identical to the exhaustive argmin. An
 //! optional deterministic beam ([`SynthesisOptions::beam_width`] /
 //! `HEXCUTE_SYNTH_BEAM`) truncates per-depth frontiers by bound rank —
-//! lossy, but bit-identical across worker counts. The process-wide kill
+//! lossy, but deterministic. The process-wide kill
 //! switch is [`set_pruning`] / `HEXCUTE_DISABLE_PRUNE`.
 
 #![warn(missing_docs)]

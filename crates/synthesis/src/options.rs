@@ -39,25 +39,11 @@ pub struct SynthesisOptions {
     /// candidate is re-evaluated from scratch (the pre-PR-2 reference
     /// behaviour). Both paths produce bit-identical candidate lists.
     pub incremental: bool,
-    /// Depth at which the incremental search splits the choice tree into
-    /// independent subtrees evaluated in parallel on the persistent worker
-    /// pool (selections sharing their first `depth` choices form one
-    /// subtree). `None` (the default) auto-tunes the depth from the worker
-    /// count; `Some(0)` forces the serial walk — the cross-checked
-    /// reference, also reachable with `HEXCUTE_THREADS=1`. The parallel walk
-    /// is bit-for-bit identical to the serial one at any depth and worker
-    /// count.
-    pub parallel_subtree_depth: Option<usize>,
-    /// Worker count for the parallel subtree walk and candidate scoring.
-    /// `None` (the default) uses [`hexcute_parallel::worker_count`]
-    /// (i.e. `HEXCUTE_THREADS`); tests and benchmarks set an explicit count
-    /// because mutating the environment of a threaded process is unsafe.
-    pub parallel_workers: Option<usize>,
     /// Deterministic node-count budget for the search: at most this many
     /// selections (leaves of the choice tree) are evaluated, truncating the
-    /// deterministic enumeration *before* the walk fans out. A truncated
+    /// deterministic enumeration *before* the walk starts. A truncated
     /// search reports `SynthesisOutcome::Truncated` with the best candidates
-    /// found so far — bit-identical at any worker count and toggle, unlike
+    /// found so far — bit-identical under every toggle, unlike
     /// wall-clock cancellation which yields typed errors only. `None` (the
     /// default) searches exhaustively; the environment default comes from
     /// `HEXCUTE_SYNTH_BUDGET` (unset or `0` means unbudgeted).
@@ -72,11 +58,11 @@ pub struct SynthesisOptions {
     pub prune: bool,
     /// Deterministic beam width for the pruned search: at each choice depth,
     /// keep only the `width` distinct prefixes with the best completion
-    /// bounds (ties broken by enumeration order) before the walk fans out.
+    /// bounds (ties broken by enumeration order) before the walk starts.
     /// Unlike exact branch-and-bound this is *lossy* — the winner may differ
     /// from exhaustive search — so a set beam width participates in the
-    /// stable hash. It is still bit-identical across worker counts and
-    /// toggles. `None` (the default) disables the beam; the environment
+    /// stable hash. It is still bit-identical across toggles. `None` (the
+    /// default) disables the beam; the environment
     /// default comes from `HEXCUTE_SYNTH_BEAM` (unset or `0` means no beam).
     pub beam_width: Option<usize>,
 }
@@ -119,8 +105,6 @@ impl Default for SynthesisOptions {
             disable_swizzles: false,
             allow_non_power_of_two_tiles: true,
             incremental: true,
-            parallel_subtree_depth: None,
-            parallel_workers: None,
             node_budget: env_node_budget(),
             prune: true,
             beam_width: env_beam_width(),
@@ -149,12 +133,11 @@ impl SynthesisOptions {
     /// * Fields that change which candidates exist or how they rank
     ///   (instruction allowances, `max_candidates`, the ablation switches)
     ///   all participate.
-    /// * `incremental`, `parallel_subtree_depth`, `parallel_workers` and
-    ///   `prune` are **deliberately excluded**: the incremental, parallel
-    ///   and branch-and-bound walks are cross-checked bit-for-bit against
-    ///   the serial exhaustive reference, so they cannot change the winning
-    ///   candidate — hashing them would only fragment the cache across
-    ///   thread counts and prune toggles.
+    /// * `incremental` and `prune` are **deliberately excluded**: the
+    ///   incremental and branch-and-bound walks are cross-checked
+    ///   bit-for-bit against the exhaustive reference, so they cannot change
+    ///   the winning candidate — hashing them would only fragment the cache
+    ///   across toggles.
     /// * `node_budget` participates **only when set**: a budgeted search may
     ///   return different (truncated) candidates, so budgeted artifacts must
     ///   never alias full-search artifacts — while the unbudgeted hash stays
@@ -207,8 +190,6 @@ mod tests {
         assert!(!o.force_scalar_copies);
         assert!(o.incremental);
         assert!(o.max_candidates >= 16);
-        assert_eq!(o.parallel_subtree_depth, None, "default is auto-tuned");
-        assert_eq!(o.parallel_workers, None, "default follows HEXCUTE_THREADS");
         assert!(
             o.prune,
             "exact branch-and-bound is lossless, so it defaults on"
@@ -226,11 +207,6 @@ mod tests {
             node_budget: None,
             ..SynthesisOptions::default()
         };
-        let threaded = SynthesisOptions {
-            parallel_workers: Some(7),
-            ..unbudgeted.clone()
-        };
-        assert_eq!(fp(&unbudgeted), fp(&threaded), "workers never fragment");
         let budgeted = SynthesisOptions {
             node_budget: Some(8),
             ..unbudgeted.clone()

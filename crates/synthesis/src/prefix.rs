@@ -33,20 +33,13 @@
 //! `tests/incremental_vs_reference.rs` and the randomized kernel sweep in
 //! `hexcute-core`.
 //!
-//! ## The parallel subtree walk
+//! ## One thread per search
 //!
-//! On many-core machines the walk itself is parallelized: the selections are
-//! split at a configurable depth (see
-//! [`crate::SynthesisOptions::parallel_subtree_depth`]) into independent
-//! subtrees — selections sharing their first `depth` choices form one
-//! subtree — and the subtrees are evaluated on the persistent worker pool of
-//! `hexcute-parallel`. The per-tensor finishing memo is a sharded concurrent
-//! map shared across all workers, and every cached value is a pure function
-//! of its key, so subtree results merged back in enumeration order are
-//! **bit-for-bit identical** to the serial walk (and to the re-evaluating
-//! reference) at any worker count. The preferred selection is finished
-//! first, serially, so the memo is warm before the fan-out and concurrent
-//! subtrees rarely recompute a layout redundantly.
+//! Both walks run on the calling thread. A compilation is sequential work
+//! (a TV solve, then this walk); parallelism pays off across the distinct
+//! kernels of a model, which the compile service's batch path fans out over
+//! the worker pool. The branch-and-bound walk still groups the selections by
+//! a shared choice prefix so one admissible bound can cut a whole group.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -55,7 +48,6 @@ use std::hash::{Hash, Hasher};
 use hexcute_arch::DType;
 use hexcute_ir::{OpKind, TensorId};
 use hexcute_layout::{Layout, SwizzledLayout};
-use hexcute_parallel::cache::{CacheStats, ShardedMap};
 use hexcute_parallel::cancel::{CancelReason, CancelToken};
 
 use crate::choice::{Candidate, CopyChoice};
@@ -145,9 +137,9 @@ impl TensorSlotInterner {
 /// codes keep cloning a row allocation-free on the error side.
 type ConstraintSlot = Result<LayoutConstraint, ConstraintError>;
 
-/// Counters exposing how much work the prefix sharing saved and how the
-/// parallel walk split it. Used by tests to assert that sharing actually
-/// happens and reported by the `repro_*` binaries.
+/// Counters exposing how much work the prefix sharing and the pruning
+/// saved. Used by tests to assert that sharing actually happens and
+/// reported by the `repro_*` binaries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefixStats {
     /// Tree edges expanded (per-copy constraint unifications performed).
@@ -156,39 +148,22 @@ pub struct PrefixStats {
     pub tensor_layouts_computed: usize,
     /// Per-tensor finishing results served from the prefix cache.
     pub tensor_layout_hits: usize,
-    /// Hit/miss/eviction counters of the shared finished-layout memo (the
-    /// map-level view of the two counters above; under the parallel walk the
-    /// map may see slightly more misses than `tensor_layouts_computed` when
-    /// concurrent subtrees race on one key).
-    pub finished_cache: CacheStats,
-    /// Independent subtrees the walk was split into (1 = serial walk).
-    pub subtrees: usize,
-    /// Worker threads the walk used (1 = serial walk).
-    pub workers: usize,
     /// Admissible completion bounds evaluated by the pruned walk (group
     /// prefixes, individual leaves and beam frontiers). Zero for the
     /// exhaustive walks.
     pub bound_evaluations: usize,
-    /// Subtree groups cut whole because their prefix bound could not beat
-    /// the incumbent. Depends on incumbent timing: **not** deterministic
-    /// across worker counts (the winner is).
+    /// Selection groups cut whole because their prefix bound could not beat
+    /// the incumbent.
     pub subtrees_cut: usize,
     /// Selections skipped by pruning — members of cut groups plus
-    /// individually cut leaves. Timing-dependent like `subtrees_cut`.
+    /// individually cut leaves.
     pub selections_pruned: usize,
-    /// Offers that actually lowered the shared incumbent score.
+    /// Offers that actually lowered the incumbent score.
     pub incumbent_updates: usize,
     /// Leaves the pruned walk finished and exactly scored (the quantity the
     /// `repro_prune` bench compares against the exhaustive candidate count).
     pub candidates_scored: usize,
 }
-
-/// The shared per-tensor finishing memo: finished shared-memory layouts (or
-/// the unification/materialization error code) keyed by the tensor and the
-/// fingerprint of the copy choices touching it. Values are pure functions of
-/// the key, which is what makes sharing it across subtree workers safe *and*
-/// deterministic.
-type FinishedMemo = ShardedMap<(TensorId, u64), Result<SwizzledLayout, ConstraintError>>;
 
 /// The state of one incremental search: the current path through the prefix
 /// tree plus the cross-path memo of finished per-tensor layouts.
@@ -213,10 +188,11 @@ struct PrefixSearch<'s, 'a> {
     /// indices are non-decreasing along the stack.
     stack: Vec<u32>,
     path: Vec<usize>,
-    /// Finished per-tensor layouts keyed by the choices of the copies
-    /// touching the tensor; shared across every subtree worker of one
-    /// search.
-    finished: &'s FinishedMemo,
+    /// Finished shared-memory layouts (or the unification/materialization
+    /// error code) keyed by the tensor and the fingerprint of the copy
+    /// choices touching it. Values are pure functions of the key, which is
+    /// what makes reusing them across paths exact.
+    finished: HashMap<(TensorId, u64), Result<SwizzledLayout, ConstraintError>>,
     /// Wall-clock cancellation flag, polled once per tree row (each
     /// [`PrefixSearch::extend`] is one row). `None` runs uninterruptible.
     cancel: Option<&'s CancelToken>,
@@ -227,7 +203,6 @@ impl<'s, 'a> PrefixSearch<'s, 'a> {
     fn new(
         synth: &'s Synthesizer<'a>,
         plans: &'s [CopyPlan],
-        finished: &'s FinishedMemo,
         cancel: Option<&'s CancelToken>,
     ) -> Self {
         let program = synth.program();
@@ -268,7 +243,7 @@ impl<'s, 'a> PrefixSearch<'s, 'a> {
             arena_len: 1,
             stack: vec![0],
             path: Vec::new(),
-            finished,
+            finished: HashMap::new(),
             cancel,
             stats: PrefixStats::default(),
         }
@@ -352,12 +327,12 @@ impl<'s, 'a> PrefixSearch<'s, 'a> {
         self.path.push(alternative);
     }
 
-    /// Finishes the candidate at the current leaf: attaches memoized
-    /// shared-memory layouts, falling back to all-scalar copies when the
-    /// constraints conflict (and dropping the candidate when even the
-    /// fallback is unsatisfiable) — exactly like the reference path.
-    fn finish_leaf(&mut self, base: &TvBase, sel: &[usize]) -> Option<Candidate> {
-        let mut candidate = self.synth.materialize_candidate(base, self.plans, sel);
+    /// Finishes `candidate`, the materialized selection at the current
+    /// leaf: attaches memoized shared-memory layouts, falling back to
+    /// all-scalar copies when the constraints conflict (and dropping the
+    /// candidate when even the fallback is unsatisfiable) — exactly like the
+    /// reference path.
+    fn finish_leaf(&mut self, mut candidate: Candidate) -> Option<Candidate> {
         let leaf = self.current_row();
         if self.attach_smem(&mut candidate, Some(leaf)).is_ok() {
             return Some(candidate);
@@ -420,7 +395,7 @@ impl<'s, 'a> PrefixSearch<'s, 'a> {
                 continue;
             }
             let key = (tensor, self.touching_fingerprint(candidate, slot));
-            let result = match self.finished.get(&key) {
+            let result = match self.finished.get(&key).cloned() {
                 Some(hit) => {
                     self.stats.tensor_layout_hits += 1;
                     hit
@@ -443,9 +418,6 @@ impl<'s, 'a> PrefixSearch<'s, 'a> {
                             options,
                         )
                     });
-                    // Concurrent subtrees may race here; `computed` is a
-                    // pure function of `key`, so either insert wins with a
-                    // bit-identical value.
                     self.finished.insert(key, computed.clone());
                     computed
                 }
@@ -461,29 +433,24 @@ impl<'s, 'a> PrefixSearch<'s, 'a> {
     }
 }
 
-/// The subtree depth the parallel walk uses: the explicit option when set,
-/// otherwise the smallest depth whose prefix split yields at least
-/// `4 * workers` subtrees (so the pool has slack to balance uneven subtree
-/// costs), falling back to the full selection length — every leaf its own
-/// subtree, relying on the shared memo for cross-leaf reuse. Deterministic,
-/// but the *output* never depends on it: any split merges back to the same
-/// candidate list.
-fn resolve_subtree_depth(
-    explicit: Option<usize>,
-    workers: usize,
-    selections: &[Vec<usize>],
-) -> usize {
-    if let Some(depth) = explicit {
-        return depth;
-    }
+/// How many selection groups the pruned walk aims for: enough that a cut
+/// group skips a useful share of the selections, few enough that one prefix
+/// bound per group stays cheap.
+const PREFIX_GROUPS: usize = 8;
+
+/// The choice depth the pruned walk groups selections at: the smallest
+/// depth whose prefixes split the selections into at least
+/// [`PREFIX_GROUPS`] groups, falling back to the full selection length —
+/// every leaf its own group. Only the pruning counters depend on it; the
+/// winner does not.
+fn resolve_subtree_depth(selections: &[Vec<usize>]) -> usize {
     let max_len = selections.iter().map(Vec::len).max().unwrap_or(0);
-    let target = workers.saturating_mul(4);
     for depth in 1..=max_len {
         let distinct: std::collections::HashSet<&[usize]> = selections
             .iter()
             .map(|sel| &sel[..depth.min(sel.len())])
             .collect();
-        if distinct.len() >= target {
+        if distinct.len() >= PREFIX_GROUPS {
             return depth;
         }
     }
@@ -509,20 +476,27 @@ fn subtree_groups(selections: &[Vec<usize>], depth: usize) -> Vec<Vec<usize>> {
     groups
 }
 
+/// The search's total order on scored leaves: `(score, enumeration index)`
+/// lexicographically, scores under [`f64::total_cmp`]. The first minimal
+/// leaf in enumeration order is the least, which is the exhaustive argmin's
+/// tie-break.
+fn lex_less(a: (f64, usize), b: (f64, usize)) -> bool {
+    match a.0.total_cmp(&b.0) {
+        std::cmp::Ordering::Less => true,
+        std::cmp::Ordering::Equal => a.1 < b.1,
+        std::cmp::Ordering::Greater => false,
+    }
+}
+
 impl<'a> Synthesizer<'a> {
     /// Evaluates the selections through the shared-prefix search, returning
     /// at most `max` finished candidates in enumeration order, plus the
     /// sharing counters.
     ///
-    /// Dispatches between the serial walk (the cross-checked reference:
-    /// one worker, `parallel_subtree_depth = 0`, or a trivial selection
-    /// list) and the parallel subtree walk. Both produce bit-identical
-    /// candidate lists; only the counters differ.
-    ///
     /// `token` (when carried) is polled cooperatively at row granularity;
     /// a tripped token aborts with [`SynthesisError::Cancelled`] — never a
     /// partial candidate list.
-    pub(crate) fn evaluate_incremental_with_stats(
+    pub(crate) fn walk_serial(
         &self,
         base: &TvBase,
         plans: &[CopyPlan],
@@ -530,40 +504,7 @@ impl<'a> Synthesizer<'a> {
         max: usize,
         token: Option<&CancelToken>,
     ) -> Result<(Vec<Candidate>, PrefixStats), SynthesisError> {
-        let workers = self
-            .options()
-            .parallel_workers
-            .unwrap_or_else(hexcute_parallel::worker_count)
-            .max(1);
-        let depth =
-            resolve_subtree_depth(self.options().parallel_subtree_depth, workers, selections);
-        let finished_memo = FinishedMemo::new();
-        if workers <= 1 || depth == 0 || selections.len() <= 2 {
-            return self.walk_serial(base, plans, selections, max, &finished_memo, token);
-        }
-        self.walk_parallel(
-            base,
-            plans,
-            selections,
-            max,
-            depth,
-            workers,
-            &finished_memo,
-            token,
-        )
-    }
-
-    /// The serial incremental walk (the PR 2 behaviour).
-    fn walk_serial(
-        &self,
-        base: &TvBase,
-        plans: &[CopyPlan],
-        selections: &[Vec<usize>],
-        max: usize,
-        finished_memo: &FinishedMemo,
-        token: Option<&CancelToken>,
-    ) -> Result<(Vec<Candidate>, PrefixStats), SynthesisError> {
-        let mut search = PrefixSearch::new(self, plans, finished_memo, token);
+        let mut search = PrefixSearch::new(self, plans, token);
         let mut finished = Vec::new();
         for sel in selections {
             if finished.len() >= max {
@@ -573,118 +514,32 @@ impl<'a> Synthesizer<'a> {
                 return Err(SynthesisError::Cancelled(reason));
             }
             search.walk_to(sel).map_err(SynthesisError::Cancelled)?;
-            if let Some(candidate) = search.finish_leaf(base, sel) {
+            let candidate = self.materialize_candidate(base, plans, sel);
+            if let Some(candidate) = search.finish_leaf(candidate) {
                 finished.push(candidate);
             }
         }
-        let mut stats = search.stats;
-        stats.subtrees = 1;
-        stats.workers = 1;
-        stats.finished_cache = finished_memo.stats();
-        Ok((finished, stats))
-    }
-
-    /// The parallel subtree walk: the first (preferred) selection is
-    /// finished serially to warm the shared memo, the remaining selections
-    /// are split into depth-`depth` prefix subtrees evaluated on the worker
-    /// pool, and the per-selection results are merged back in enumeration
-    /// order before applying the `max` cap — so the output is bit-for-bit
-    /// the serial walk's at any worker count. (Like the parallel reference
-    /// path, every selection is finished even when `max` would have stopped
-    /// the serial walk early; with the default `max_candidates` no discarded
-    /// work occurs.)
-    #[allow(clippy::too_many_arguments)]
-    fn walk_parallel(
-        &self,
-        base: &TvBase,
-        plans: &[CopyPlan],
-        selections: &[Vec<usize>],
-        max: usize,
-        depth: usize,
-        workers: usize,
-        finished_memo: &FinishedMemo,
-        token: Option<&CancelToken>,
-    ) -> Result<(Vec<Candidate>, PrefixStats), SynthesisError> {
-        let mut slots: Vec<Option<Candidate>> = vec![None; selections.len()];
-        let mut stats = PrefixStats::default();
-
-        // Warm the memo with the preferred selection: it carries the common
-        // choices, so concurrent subtrees mostly hit instead of racing.
-        {
-            let mut search = PrefixSearch::new(self, plans, finished_memo, token);
-            if let Some(reason) = hooks::injected_stall(token) {
-                return Err(SynthesisError::Cancelled(reason));
-            }
-            search
-                .walk_to(&selections[0])
-                .map_err(SynthesisError::Cancelled)?;
-            slots[0] = search.finish_leaf(base, &selections[0]);
-            stats = merge_stats(&stats, &search.stats);
-        }
-
-        let groups = subtree_groups(&selections[1..], depth);
-        let subtrees = groups.len() + 1;
-        type GroupResult = Result<(Vec<(usize, Option<Candidate>)>, PrefixStats), CancelReason>;
-        let eval_group = |group: Vec<usize>| -> GroupResult {
-            let mut search = PrefixSearch::new(self, plans, finished_memo, token);
-            let mut out = Vec::with_capacity(group.len());
-            for idx in group {
-                let sel = &selections[idx + 1];
-                if let Some(reason) = hooks::injected_stall(token) {
-                    return Err(reason);
-                }
-                search.walk_to(sel)?;
-                out.push((idx + 1, search.finish_leaf(base, sel)));
-            }
-            Ok((out, search.stats))
-        };
-        // A carried token additionally cancels at pool-job granularity:
-        // subtrees not yet claimed when the token trips are never started
-        // (and are counted by `PoolStats::cancelled`).
-        let evaluated = match token {
-            Some(tok) => hexcute_parallel::par_map_cancellable(groups, eval_group, workers, tok)
-                .ok_or_else(|| {
-                    SynthesisError::Cancelled(tok.reason().unwrap_or(CancelReason::Shutdown))
-                })?,
-            None => hexcute_parallel::par_map_with_workers(groups, eval_group, workers),
-        };
-        for group_result in evaluated {
-            let (group, group_stats) = group_result.map_err(SynthesisError::Cancelled)?;
-            stats = merge_stats(&stats, &group_stats);
-            for (idx, candidate) in group {
-                slots[idx] = candidate;
-            }
-        }
-        stats.subtrees = subtrees;
-        stats.workers = workers;
-        stats.finished_cache = finished_memo.stats();
-        let finished: Vec<Candidate> = slots.into_iter().flatten().take(max).collect();
-        Ok((finished, stats))
+        Ok((finished, search.stats))
     }
 
     /// The branch-and-bound walk behind [`Synthesizer::synthesize_pruned`]:
     /// evaluates the selections through the shared-prefix search, but keeps
-    /// a shared incumbent `(score, index)` pair and cuts every subtree
-    /// group (and individual leaf) whose admissible completion bound cannot
-    /// beat it lexicographically. Returns the winner as `(enumeration
-    /// index, candidate, score)` plus the walk counters.
+    /// an incumbent `(score, index)` pair and cuts every selection group
+    /// (and individual leaf) whose admissible completion bound cannot beat
+    /// it under [`lex_less`]. Returns the winner as `(enumeration index,
+    /// candidate, score)` plus the walk counters.
     ///
-    /// ## Why the winner is deterministic under a racing incumbent
+    /// ## Why pruning keeps the exhaustive winner
     ///
     /// The incumbent only ever holds exact `(score, index)` pairs of
-    /// finished candidates, so at any instant it is lexicographically ≥ the
-    /// global minimum pair. A subtree containing the global minimizer has a
-    /// bound ≤ its score and a first index ≤ its index, so its `(bound,
-    /// first index)` pair is ≤ the incumbent — and pruning requires the
-    /// pair to be **strictly greater** (score under [`f64::total_cmp`],
-    /// then index). Every global minimizer therefore survives every
-    /// interleaving; pruning on index breaks score *ties* exactly the way
-    /// the final reduction does. Survivors are reduced to the lexicographic
-    /// minimum of `(score, enumeration index)`, which reproduces the
-    /// exhaustive argmin's first-minimal tie-break exactly. Only the
-    /// *counters* (`subtrees_cut`, `selections_pruned`,
-    /// `bound_evaluations`, `incumbent_updates`, `candidates_scored`)
-    /// depend on timing.
+    /// finished candidates, so it is never below the global minimum pair. A
+    /// group containing the global minimizer has a bound ≤ its score and a
+    /// first index ≤ its index, so its `(bound, first index)` pair is not
+    /// above the incumbent — and pruning requires the pair to be **strictly
+    /// greater**. The global minimizer is therefore never cut; pruning on
+    /// index breaks score *ties* exactly the way the final reduction does.
+    /// Survivors are reduced to the least `(score, enumeration index)`,
+    /// which reproduces the exhaustive argmin's first-minimal tie-break.
     pub(crate) fn evaluate_pruned<B: crate::SearchBounder + ?Sized>(
         &self,
         base: &TvBase,
@@ -693,188 +548,129 @@ impl<'a> Synthesizer<'a> {
         bounder: &B,
         token: Option<&CancelToken>,
     ) -> PrunedWalk {
-        type Best = (f64, usize, Candidate);
-        let mut stats = PrefixStats::default();
         if selections.is_empty() {
-            stats.subtrees = 1;
-            stats.workers = 1;
-            return Ok((None, stats));
+            return Ok((None, PrefixStats::default()));
         }
-        let workers = self
-            .options()
-            .parallel_workers
-            .unwrap_or_else(hexcute_parallel::worker_count)
-            .max(1);
-        let depth =
-            resolve_subtree_depth(self.options().parallel_subtree_depth, workers, selections);
-        let finished_memo = FinishedMemo::new();
-        let incumbent = hexcute_parallel::incumbent::IncumbentCell::new();
+        let depth = resolve_subtree_depth(selections);
+        let mut search = PrefixSearch::new(self, plans, token);
+        let mut incumbent = Incumbent::new();
 
-        // Seed: finish and score the preferred selection serially. This
-        // warms the shared memo (like the exhaustive parallel walk) and —
-        // because the preferred selection usually wins — gives every group
-        // a near-final incumbent before the fan-out.
-        let mut best: Option<Best> = None;
-        {
-            let mut search = PrefixSearch::new(self, plans, &finished_memo, token);
-            if let Some(reason) = hooks::injected_stall(token) {
-                return Err(SynthesisError::Cancelled(reason));
-            }
-            search
-                .walk_to(&selections[0])
-                .map_err(SynthesisError::Cancelled)?;
-            if let Some(candidate) = search.finish_leaf(base, &selections[0]) {
-                let score = bounder.exact_score(&candidate);
-                search.stats.candidates_scored += 1;
-                if incumbent.offer(score, 0) {
-                    search.stats.incumbent_updates += 1;
-                }
-                best = Some((score, 0, candidate));
-            }
-            stats = merge_stats(&stats, &search.stats);
+        // Seed: finish and score the preferred selection first. It usually
+        // wins, so every group is bounded against a near-final incumbent.
+        if let Some(reason) = hooks::injected_stall(token) {
+            return Err(SynthesisError::Cancelled(reason));
+        }
+        search
+            .walk_to(&selections[0])
+            .map_err(SynthesisError::Cancelled)?;
+        let seed = self.materialize_candidate(base, plans, &selections[0]);
+        if let Some(finished) = search.finish_leaf(seed) {
+            let score = bounder.exact_score(&finished);
+            incumbent.offer(score, 0, finished, &mut search.stats);
         }
 
         // Ops still open below the split depth: the prefix bound of a group
         // leaves exactly these undecided.
         let undecided: Vec<hexcute_ir::OpId> = plans.iter().skip(depth).map(|p| p.op).collect();
-        // Cut when `(bound, first index)` is lexicographically above the
-        // incumbent pair: a strictly larger bound can never win, and an
-        // *equal* bound from a later index can only tie on score and then
-        // loses the first-minimal tie-break.
-        let prunes = |bound: f64, first_index: usize| {
-            let (inc_score, inc_index) = incumbent.get();
-            match bound.total_cmp(&inc_score) {
-                std::cmp::Ordering::Greater => true,
-                std::cmp::Ordering::Equal => first_index > inc_index,
-                std::cmp::Ordering::Less => false,
-            }
-        };
-        type GroupResult = Result<(Option<(f64, usize, Candidate)>, PrefixStats), CancelReason>;
-        let eval_group = |group: Vec<usize>| -> GroupResult {
-            let mut search = PrefixSearch::new(self, plans, &finished_memo, token);
-            let mut extra = PrefixStats::default();
+        for group in subtree_groups(&selections[1..], depth) {
             // Prefix bound: one probe for the whole group (its members share
             // the first `depth` choices, which is all the bound reads — the
             // suffix ops are passed as undecided).
             if group.len() > 1 && !undecided.is_empty() {
                 if let Some(reason) = hooks::poll_cancelled(token) {
-                    return Err(reason);
+                    return Err(SynthesisError::Cancelled(reason));
                 }
                 let probe = self.materialize_candidate(base, plans, &selections[group[0] + 1]);
-                extra.bound_evaluations += 1;
-                if prunes(bounder.completion_bound(&probe, &undecided), group[0] + 1) {
-                    extra.subtrees_cut += 1;
-                    extra.selections_pruned += group.len();
-                    return Ok((None, extra));
+                search.stats.bound_evaluations += 1;
+                if incumbent.prunes(bounder.completion_bound(&probe, &undecided), group[0] + 1) {
+                    search.stats.subtrees_cut += 1;
+                    search.stats.selections_pruned += group.len();
+                    continue;
                 }
             }
-            let mut local: Option<Best> = None;
             for idx in group {
-                let sel = &selections[idx + 1];
+                let index = idx + 1;
+                let sel = &selections[index];
                 if let Some(reason) = hooks::injected_stall(token) {
-                    return Err(reason);
+                    return Err(SynthesisError::Cancelled(reason));
                 }
                 if let Some(reason) = hooks::poll_cancelled(token) {
-                    return Err(reason);
+                    return Err(SynthesisError::Cancelled(reason));
                 }
                 // Leaf bound: fully decided. Admissible for both ways the
                 // leaf can finish — as materialized, or through the
                 // all-plans scalar degradation — so a cut leaf cannot hide
                 // a winner.
                 let candidate = self.materialize_candidate(base, plans, sel);
-                extra.bound_evaluations += 1;
-                if prunes(bounder.completion_bound(&candidate, &[]), idx + 1) {
-                    extra.selections_pruned += 1;
+                search.stats.bound_evaluations += 1;
+                if incumbent.prunes(bounder.completion_bound(&candidate, &[]), index) {
+                    search.stats.selections_pruned += 1;
                     continue;
                 }
-                search.walk_to(sel)?;
-                if let Some(finished) = search.finish_leaf(base, sel) {
+                search.walk_to(sel).map_err(SynthesisError::Cancelled)?;
+                if let Some(finished) = search.finish_leaf(candidate) {
                     let score = bounder.exact_score(&finished);
-                    extra.candidates_scored += 1;
-                    if incumbent.offer(score, idx + 1) {
-                        extra.incumbent_updates += 1;
-                    }
-                    let better = match &local {
-                        None => true,
-                        Some((s, i, _)) => match score.total_cmp(s) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Equal => idx + 1 < *i,
-                            std::cmp::Ordering::Greater => false,
-                        },
-                    };
-                    if better {
-                        local = Some((score, idx + 1, finished));
-                    }
-                }
-            }
-            Ok((local, merge_stats(&extra, &search.stats)))
-        };
-
-        let groups = subtree_groups(&selections[1..], depth);
-        let subtrees = groups.len() + 1;
-        let serial = workers <= 1 || depth == 0 || selections.len() <= 2;
-        let evaluated: Vec<GroupResult> = if serial {
-            groups.into_iter().map(eval_group).collect()
-        } else {
-            match token {
-                Some(tok) => {
-                    hexcute_parallel::par_map_cancellable(groups, eval_group, workers, tok)
-                        .ok_or_else(|| {
-                            SynthesisError::Cancelled(
-                                tok.reason().unwrap_or(CancelReason::Shutdown),
-                            )
-                        })?
-                }
-                None => hexcute_parallel::par_map_with_workers(groups, eval_group, workers),
-            }
-        };
-        for group_result in evaluated {
-            let (local, group_stats) = group_result.map_err(SynthesisError::Cancelled)?;
-            stats = merge_stats(&stats, &group_stats);
-            if let Some((score, idx, candidate)) = local {
-                let better = match &best {
-                    None => true,
-                    Some((s, i, _)) => match score.total_cmp(s) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Equal => idx < *i,
-                        std::cmp::Ordering::Greater => false,
-                    },
-                };
-                if better {
-                    best = Some((score, idx, candidate));
+                    incumbent.offer(score, index, finished, &mut search.stats);
                 }
             }
         }
-        stats.subtrees = subtrees;
-        stats.workers = if serial { 1 } else { workers };
-        stats.finished_cache = finished_memo.stats();
         Ok((
-            best.map(|(score, idx, candidate)| (idx, candidate, score)),
-            stats,
+            incumbent
+                .best
+                .map(|(score, idx, candidate)| (idx, candidate, score)),
+            search.stats,
         ))
+    }
+}
+
+/// The pruned walk's running result: the incumbent pair bounds are compared
+/// against, and the best finished leaf.
+struct Incumbent {
+    /// The least `(score, index)` offered so far; `(+∞, usize::MAX)` before
+    /// the first offer, so nothing is pruned until a leaf is scored (a `NaN`
+    /// score sorts above `+∞` and never lowers it).
+    bar: (f64, usize),
+    /// The least finished `(score, index, candidate)` under [`lex_less`].
+    best: Option<(f64, usize, Candidate)>,
+}
+
+impl Incumbent {
+    fn new() -> Self {
+        Incumbent {
+            bar: (f64::INFINITY, usize::MAX),
+            best: None,
+        }
+    }
+
+    /// Records a scored leaf, counting it and any lowering of the bar.
+    fn offer(&mut self, score: f64, index: usize, candidate: Candidate, stats: &mut PrefixStats) {
+        stats.candidates_scored += 1;
+        if lex_less((score, index), self.bar) {
+            self.bar = (score, index);
+            stats.incumbent_updates += 1;
+        }
+        if self
+            .best
+            .as_ref()
+            .is_none_or(|(s, i, _)| lex_less((score, index), (*s, *i)))
+        {
+            self.best = Some((score, index, candidate));
+        }
+    }
+
+    /// Whether a group (or leaf) starting at `first_index` whose completions
+    /// score at least `bound` can be cut: its `(bound, first_index)` pair
+    /// is strictly above the bar. A strictly larger bound can never win, and
+    /// an *equal* bound from a later index can only tie on score and then
+    /// loses the first-minimal tie-break.
+    fn prunes(&self, bound: f64, first_index: usize) -> bool {
+        lex_less(self.bar, (bound, first_index))
     }
 }
 
 /// Result of the pruned walk: the winning `(enumeration index, candidate,
 /// score)` triple, when any leaf finished, plus the walk counters.
 type PrunedWalk = Result<(Option<(usize, Candidate, f64)>, PrefixStats), SynthesisError>;
-
-/// Sums the per-walk counters (the cache snapshot is set once at the end).
-fn merge_stats(a: &PrefixStats, b: &PrefixStats) -> PrefixStats {
-    PrefixStats {
-        nodes_expanded: a.nodes_expanded + b.nodes_expanded,
-        tensor_layouts_computed: a.tensor_layouts_computed + b.tensor_layouts_computed,
-        tensor_layout_hits: a.tensor_layout_hits + b.tensor_layout_hits,
-        finished_cache: a.finished_cache,
-        subtrees: a.subtrees,
-        workers: a.workers,
-        bound_evaluations: a.bound_evaluations + b.bound_evaluations,
-        subtrees_cut: a.subtrees_cut + b.subtrees_cut,
-        selections_pruned: a.selections_pruned + b.selections_pruned,
-        incumbent_updates: a.incumbent_updates + b.incumbent_updates,
-        candidates_scored: a.candidates_scored + b.candidates_scored,
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -913,6 +709,27 @@ mod tests {
             assert_eq!(interner.slot(interner.tensor(slot)), Some(slot));
         }
         assert_eq!(interner.tensors(), &[ids[2], ids[0], ids[3]]);
+    }
+
+    #[test]
+    fn incumbent_prunes_only_pairs_strictly_above_the_bar() {
+        let mut incumbent = Incumbent::new();
+        assert!(
+            !incumbent.prunes(f64::INFINITY, 0),
+            "nothing is pruned before a leaf is scored"
+        );
+        incumbent.bar = (10.0, 5);
+        assert!(incumbent.prunes(10.5, 0));
+        assert!(
+            incumbent.prunes(10.0, 6),
+            "an equal bound from a later index loses the tie-break"
+        );
+        assert!(!incumbent.prunes(10.0, 4));
+        assert!(!incumbent.prunes(9.0, 99));
+        assert!(
+            !lex_less((f64::NAN, 0), (f64::INFINITY, usize::MAX)),
+            "NaN sorts above every real score and never lowers the bar"
+        );
     }
 
     #[test]

@@ -131,109 +131,6 @@ fn ablation_option_sets_agree_too() {
     }
 }
 
-/// The parallel subtree walk must be bit-for-bit identical to the serial
-/// incremental walk (and therefore to the reference path, by the tests
-/// above) for every worker count and split depth — candidate order, layouts,
-/// instruction choices, notes.
-#[test]
-fn parallel_walk_is_bit_identical_across_worker_counts_and_depths() {
-    let programs = [
-        staged_gemm(64, 64, 32),
-        staged_gemm(128, 64, 64),
-        copy_roundtrip(),
-    ];
-    let arch = GpuArch::a100();
-    for program in &programs {
-        let serial = Synthesizer::new(
-            program,
-            &arch,
-            SynthesisOptions {
-                parallel_subtree_depth: Some(0),
-                parallel_workers: Some(1),
-                ..SynthesisOptions::default()
-            },
-        )
-        .synthesize()
-        .unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            for depth in [None, Some(0), Some(1), Some(2), Some(usize::MAX)] {
-                let parallel = Synthesizer::new(
-                    program,
-                    &arch,
-                    SynthesisOptions {
-                        parallel_subtree_depth: depth,
-                        parallel_workers: Some(workers),
-                        ..SynthesisOptions::default()
-                    },
-                )
-                .synthesize()
-                .unwrap();
-                assert_eq!(
-                    serial, parallel,
-                    "{}: workers {workers} depth {depth:?} diverged from the serial walk",
-                    program.name
-                );
-            }
-        }
-    }
-}
-
-/// The walk must actually split and run on multiple workers (not silently
-/// fall back to serial), which the stats expose.
-#[test]
-fn parallel_walk_reports_subtrees_and_workers() {
-    if !hexcute_synthesis::incremental_enabled() {
-        // The reference-paths CI leg disables the incremental search
-        // process-wide (`HEXCUTE_DISABLE_INCREMENTAL=1`); there is no walk
-        // to introspect then.
-        return;
-    }
-    let program = staged_gemm(64, 64, 32);
-    let arch = GpuArch::a100();
-    let (candidates, stats) = Synthesizer::new(
-        &program,
-        &arch,
-        SynthesisOptions {
-            parallel_workers: Some(4),
-            ..SynthesisOptions::default()
-        },
-    )
-    .synthesize_with_stats()
-    .unwrap();
-    let stats = stats.expect("incremental search reports stats");
-    assert!(candidates.len() > 1);
-    assert_eq!(stats.workers, 4);
-    assert!(
-        stats.subtrees > 1,
-        "auto depth produced a single subtree: {stats:?}"
-    );
-    // Sharing still happens through the shared memo.
-    assert!(stats.tensor_layout_hits > 0, "no sharing: {stats:?}");
-    // Concurrent subtrees may race on a key (both compute, one insert wins),
-    // so resident entries are bounded by — not necessarily equal to — the
-    // number of finishing computations.
-    assert!(stats.finished_cache.entries > 0);
-    assert!(
-        stats.finished_cache.entries <= stats.tensor_layouts_computed,
-        "more memo entries than computations: {stats:?}"
-    );
-
-    // The explicit serial knobs keep the reference walk reachable.
-    let (_, serial_stats) = Synthesizer::new(
-        &program,
-        &arch,
-        SynthesisOptions {
-            parallel_subtree_depth: Some(0),
-            ..SynthesisOptions::default()
-        },
-    )
-    .synthesize_with_stats()
-    .unwrap();
-    let serial_stats = serial_stats.unwrap();
-    assert_eq!(serial_stats.subtrees, 1);
-    assert_eq!(serial_stats.workers, 1);
-}
-
 #[test]
 fn small_max_candidates_returns_the_same_preferred_candidate() {
     let program = staged_gemm(64, 64, 32);
