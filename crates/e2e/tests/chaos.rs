@@ -9,12 +9,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use hexcute_arch::GpuArch;
 use hexcute_core::{
-    CompileError, CompilerOptions, FaultInjector, FaultKind, FaultSpec, KernelCacheConfig,
+    faults, CompileError, CompilerOptions, FaultInjector, FaultKind, FaultSpec, KernelCacheConfig,
 };
 use hexcute_e2e::{CompileService, ServedFrom, ServiceConfig};
 use hexcute_ir::Program;
@@ -33,6 +33,38 @@ fn unique_temp_dir(tag: &str) -> PathBuf {
 /// observably queue behind or coalesce onto it.
 fn slow_program() -> Program {
     fp16_gemm(GemmShape::new(1024, 1024, 1024), GemmConfig::default()).unwrap()
+}
+
+/// Holds every synthesis at its stall sites until its walk is cancelled, so
+/// a deadline or shutdown test does not depend on how long
+/// `slow_program()` takes to compile. Each stall lasts far longer than any
+/// deadline here and ends early only when the walk's cancel token trips.
+/// The synthesis hook is process-wide, so the guard also serializes the
+/// tests that install it; dropping it removes the hook.
+struct HeldSyntheses {
+    _serial: MutexGuard<'static, ()>,
+}
+
+impl HeldSyntheses {
+    fn install() -> Self {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        let serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+        let injector = FaultInjector::new(
+            FaultSpec {
+                synth_stall: Duration::from_secs(1),
+                ..FaultSpec::default()
+            }
+            .with_rate(FaultKind::SynthStall, 1.0),
+        );
+        faults::install_synth_hook(&injector);
+        HeldSyntheses { _serial: serial }
+    }
+}
+
+impl Drop for HeldSyntheses {
+    fn drop(&mut self) {
+        faults::clear_synth_hook();
+    }
 }
 
 fn small_program(k: usize) -> Program {
@@ -207,6 +239,7 @@ fn deadline_expiring_mid_synthesis_cancels_the_claimant() {
         ..ServiceConfig::default()
     };
     let service = service_with(config, None);
+    let _held = HeldSyntheses::install();
 
     let started = std::time::Instant::now();
     let err = service.compile(&slow_program()).unwrap_err();
@@ -247,6 +280,7 @@ fn deadline_expires_while_coalesced() {
     };
     let service = Arc::new(service_with(config, None));
     let program = slow_program();
+    let _held = HeldSyntheses::install();
 
     let n = 4;
     let barrier = Arc::new(Barrier::new(n));
@@ -287,6 +321,7 @@ fn shutdown_drains_queued_waiters_and_cancels_inflight() {
         ..ServiceConfig::default()
     };
     let service = Arc::new(service_with(config, None));
+    let _held = HeldSyntheses::install();
 
     // The slot holder runs a long synthesis...
     let holder = {
@@ -353,6 +388,7 @@ fn cancelled_pruned_search_frees_its_admission_slot() {
         ..ServiceConfig::default()
     };
     let service = Arc::new(service_with(config, None));
+    let _held = HeldSyntheses::install();
     let holder = {
         let service = Arc::clone(&service);
         std::thread::spawn(move || service.compile(&slow_program()))
@@ -388,6 +424,7 @@ fn deadline_expires_while_queued() {
         ..ServiceConfig::default()
     };
     let service = Arc::new(service_with(config, None));
+    let _held = HeldSyntheses::install();
 
     let holder = {
         let service = Arc::clone(&service);

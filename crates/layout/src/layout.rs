@@ -331,7 +331,19 @@ impl Layout {
 
     /// Returns `true` when the two layouts define the same function on the
     /// same domain size (ignoring hierarchical structure).
+    ///
+    /// Structurally equal layouts are settled without evaluating a single
+    /// point — the common case in the TV solve's fixed-point loop, which
+    /// compares a layout with an unchanged copy of itself. Any other pair
+    /// goes through [`Layout::equivalent_reference`], which compares sizes
+    /// and then walks the domain, stopping at the first mismatch.
     pub fn equivalent(&self, other: &Layout) -> bool {
+        self == other || self.equivalent_reference(other)
+    }
+
+    /// The original implementation of [`Layout::equivalent`], kept as the
+    /// reference for the structural shortcut.
+    pub fn equivalent_reference(&self, other: &Layout) -> bool {
         self.size() == other.size() && (0..self.size()).all(|i| self.map(i) == other.map(i))
     }
 

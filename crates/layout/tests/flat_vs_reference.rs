@@ -70,6 +70,46 @@ proptest! {
     }
 
     #[test]
+    fn equivalent_agrees_with_reference(
+        flat in any_layout(4),
+        split in 1usize..4,
+        unit_at in 0usize..=4,
+        unit_stride in 0usize..=12,
+        rotate in 0usize..4,
+        strides in proptest::collection::vec(0usize..=12, 4),
+    ) {
+        // Regroup the flat modes into two nested top-level modes so that
+        // `flatten` changes the structure but not the function.
+        let modes = flat.modes();
+        let a = if modes.len() > 1 {
+            let split = split.min(modes.len() - 1);
+            Layout::make_pair(&Layout::concat(&modes[..split]), &Layout::concat(&modes[split..]))
+        } else {
+            flat.clone()
+        };
+        let leaves = a.flat_modes();
+        let mut with_unit = leaves.clone();
+        with_unit.insert(unit_at.min(leaves.len()), (1, unit_stride));
+        // Equal size, generally a different function: the same shapes
+        // rotated, with fresh strides.
+        let mut shapes: Vec<usize> = leaves.iter().map(|&(s, _)| s).collect();
+        let n = shapes.len();
+        shapes.rotate_left(rotate % n);
+        let resized: Vec<(usize, usize)> = shapes.into_iter().zip(strides).collect();
+        let pairs = [
+            ("clone", a.clone()),
+            ("flatten", a.flatten()),
+            ("coalesce", a.coalesce()),
+            ("size-1 mode", Layout::from_modes(&with_unit)),
+            ("equal size", Layout::from_modes(&resized)),
+        ];
+        for (what, b) in &pairs {
+            prop_assert_eq!(a.equivalent(b), a.equivalent_reference(b), "{}: {} vs {}", what, a, b);
+            prop_assert_eq!(b.equivalent(&a), b.equivalent_reference(&a), "{}: {} vs {}", what, b, a);
+        }
+    }
+
+    #[test]
     fn compose_agrees_with_reference(a in any_layout(4), b in any_layout(3)) {
         // Evaluate the fast path twice so the second call replays the memo.
         let fast_first = a.compose(&b);
