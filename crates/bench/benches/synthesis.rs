@@ -1,10 +1,6 @@
 //! Criterion benchmarks of the synthesis engine and the compiler driver,
 //! including the anchor-selection and swizzle ablations called out in
 //! DESIGN.md.
-//!
-//! The end-to-end synthesis and compilation benchmarks run through both the
-//! reference path (`…/reference`) and the memoized fast path (`…/fast`, the
-//! default).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use hexcute_arch::GpuArch;
@@ -12,7 +8,6 @@ use hexcute_core::{Compiler, CompilerOptions};
 use hexcute_costmodel::{CompletionBounds, CostModel};
 use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
 use hexcute_kernels::moe::{mixed_type_moe, MoeConfig, MoeDataflow, MoeShape};
-use hexcute_layout::set_fast_path;
 use hexcute_synthesis::{SynthesisOptions, Synthesizer};
 
 fn bench_synthesis(c: &mut Criterion) {
@@ -26,25 +21,21 @@ fn bench_synthesis(c: &mut Criterion) {
     )
     .unwrap();
 
-    for (suffix, fast) in [("reference", false), ("fast", true)] {
-        set_fast_path(fast);
-        c.bench_function(&format!("synthesis/gemm_all_candidates/{suffix}"), |b| {
-            b.iter(|| {
-                Synthesizer::new(black_box(&gemm), &arch, SynthesisOptions::default())
-                    .synthesize()
-                    .unwrap()
-            })
-        });
-        // Full compilation (synthesis + cost model + perf estimation), uncached.
-        c.bench_function(&format!("compiler/compile_gemm_uncached/{suffix}"), |b| {
-            b.iter_batched(
-                || Compiler::with_options(arch.clone(), CompilerOptions::new()),
-                |compiler| compiler.compile(black_box(&gemm)).unwrap(),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    set_fast_path(true);
+    c.bench_function("synthesis/gemm_all_candidates", |b| {
+        b.iter(|| {
+            Synthesizer::new(black_box(&gemm), &arch, SynthesisOptions::default())
+                .synthesize()
+                .unwrap()
+        })
+    });
+    // Full compilation (synthesis + cost model + perf estimation), uncached.
+    c.bench_function("compiler/compile_gemm_uncached", |b| {
+        b.iter_batched(
+            || Compiler::with_options(arch.clone(), CompilerOptions::new()),
+            |compiler| compiler.compile(black_box(&gemm)).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
 
     c.bench_function("synthesis/moe_all_candidates", |b| {
         b.iter(|| {

@@ -1,14 +1,15 @@
-//! Measures the incremental prefix-shared candidate evaluation against the
-//! PR 1 fast path (full re-evaluation per candidate, flat-layout fast path
-//! enabled on both sides) and writes the machine-readable comparison
-//! committed as `BENCH_pr2.json`.
+//! Measures the incremental prefix-shared candidate evaluation
+//! (`Synthesizer::synthesize_outcome`) against the full re-evaluation per
+//! candidate (`Synthesizer::synthesize_reference`) and writes the
+//! machine-readable comparison (`BENCH_pr2.json` holds the historical run,
+//! which also timed whole compiles).
 //!
 //! Usage: `cargo run --release --bin repro_incremental [-- output.json]`
 
 fn main() {
     let out_path = std::env::args()
         .nth(1)
-        .unwrap_or_else(|| "BENCH_pr2.json".to_string());
+        .unwrap_or_else(|| "bench-incremental.json".to_string());
     let entries = hexcute_bench::fastpath::synthesis_incremental_entries();
     print!("{}", hexcute_bench::fastpath::as_report(&entries));
     hexcute_bench::print_shared_cache_summary();

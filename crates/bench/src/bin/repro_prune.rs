@@ -10,15 +10,17 @@
 //!
 //! Usage: `cargo run --release --bin repro_prune [-- output.json]`
 
+use hexcute_bench::prune as pruned;
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_pr9.json".to_string());
 
-    let entries = hexcute_bench::prune::run_suite();
-    println!("{}", hexcute_bench::prune::as_report(&entries));
+    let entries = pruned::run_suite();
+    println!("{}", pruned::as_report(&entries));
 
-    let json = hexcute_bench::prune::to_json(&entries);
+    let json = pruned::to_json(&entries);
     match hexcute_bench::write_output(&out_path, &json) {
         Ok(()) => println!("wrote {out_path}"),
         Err(e) => {

@@ -1,22 +1,24 @@
-//! Before/after measurements of the flat-layout fast path.
+//! Before/after measurements of the production layout algebra and
+//! simulator against their reference entry points.
 //!
-//! Every benchmark here runs twice in one process: once with the fast path
-//! disabled (`HEXCUTE_DISABLE_FAST_PATH`-equivalent — the recursive
-//! reference algebra and the element-by-element simulator, i.e. the
-//! pre-change behaviour) and once with it enabled (flat memoized algebra,
-//! table-driven simulation). The results feed `BENCH_pr1.json` via [`write_json`] and the
-//! `repro_fastpath` binary.
+//! Every benchmark here times two calls in one process: the reference
+//! (`Layout::*_reference`, [`FunctionalSim::run_reference`],
+//! [`Synthesizer::synthesize_reference`] — the pre-change behaviour) and the
+//! production call (flat memoized algebra, table-driven simulation,
+//! incremental search). The results feed the `repro_fastpath` and
+//! `repro_incremental` binaries via [`write_json`] / [`write_json_named`]
+//! (`BENCH_pr1.json` and `BENCH_pr2.json` hold their historical runs).
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use hexcute_arch::{DType, GpuArch};
-use hexcute_core::{Compiler, CompilerOptions};
+use hexcute_core::Compiler;
 use hexcute_ir::{KernelBuilder, Program};
 use hexcute_kernels::attention::{mha_forward, AttentionConfig, AttentionShape};
 use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
 use hexcute_kernels::moe::{mixed_type_moe, MoeConfig, MoeDataflow, MoeShape};
-use hexcute_layout::{ituple, set_fast_path, Layout, RepeatMode, TvLayout};
+use hexcute_layout::{ituple, Layout};
 use hexcute_sim::{FunctionalSim, SimTableCache};
 use hexcute_synthesis::{SynthesisOptions, Synthesizer};
 
@@ -29,10 +31,10 @@ pub struct FastPathEntry {
     pub group: String,
     /// Benchmark name within the group.
     pub name: String,
-    /// Median nanoseconds per iteration with the fast path disabled
-    /// (the pre-change reference behaviour).
+    /// Median nanoseconds per iteration of the reference call (the
+    /// pre-change behaviour).
     pub reference_ns: f64,
-    /// Median nanoseconds per iteration with the fast path enabled.
+    /// Median nanoseconds per iteration of the production call.
     pub fast_ns: f64,
 }
 
@@ -74,12 +76,15 @@ pub fn measure_ns<F: FnMut()>(mut f: F, samples: usize, sample_ms: f64) -> f64 {
     medians[medians.len() / 2]
 }
 
-/// Measures `f` with the fast path disabled, then enabled.
-fn before_after<F: FnMut()>(group: &str, name: &str, mut f: F) -> FastPathEntry {
-    set_fast_path(false);
-    let reference_ns = measure_ns(&mut f, 5, 20.0);
-    set_fast_path(true);
-    let fast_ns = measure_ns(&mut f, 5, 20.0);
+/// Measures the `reference` call, then the production call `fast`.
+fn before_after(
+    group: &str,
+    name: &str,
+    reference: impl FnMut(),
+    fast: impl FnMut(),
+) -> FastPathEntry {
+    let reference_ns = measure_ns(reference, 5, 20.0);
+    let fast_ns = measure_ns(fast, 5, 20.0);
     FastPathEntry {
         group: group.to_string(),
         name: name.to_string(),
@@ -98,45 +103,69 @@ pub fn layout_algebra_entries() -> Vec<FastPathEntry> {
     let coalesce_arg = Layout::from_flat(&[2, 4, 8, 2, 4], &[1, 2, 8, 64, 128]);
     let divide_base = Layout::identity(4096);
     let divide_tiler = Layout::from_mode(16, 8);
-    let atom = TvLayout::new(
-        Layout::from_flat(&[4, 8], &[32, 1]),
-        Layout::from_flat(&[2, 2], &[16, 8]),
-        vec![16, 8],
-    )
-    .unwrap();
+    let group = "layout_algebra";
 
     vec![
-        before_after("layout_algebra", "compose", || {
-            std::hint::black_box(tile.compose(&mma_a).unwrap());
-        }),
-        before_after("layout_algebra", "right_inverse", || {
-            std::hint::black_box(ldmatrix_q.right_inverse().unwrap());
-        }),
-        before_after("layout_algebra", "complement", || {
-            std::hint::black_box(complement_arg.complement(8192).unwrap());
-        }),
-        before_after("layout_algebra", "coalesce", || {
-            std::hint::black_box(coalesce_arg.coalesce());
-        }),
-        before_after("layout_algebra", "logical_divide", || {
-            std::hint::black_box(divide_base.logical_divide(&divide_tiler).unwrap());
-        }),
-        before_after("layout_algebra", "map_sweep_1k", || {
-            let mut acc = 0usize;
-            for i in 0..1024 {
-                acc += mma_a.map(i);
-            }
-            std::hint::black_box(acc);
-        }),
-        before_after("layout_algebra", "tv_expand_to_128x128", || {
-            std::hint::black_box(
-                atom.expand(
-                    &[RepeatMode::along(2, 0), RepeatMode::along(2, 1)],
-                    &[RepeatMode::along(4, 0), RepeatMode::along(8, 1)],
-                )
-                .unwrap(),
-            );
-        }),
+        before_after(
+            group,
+            "compose",
+            || {
+                std::hint::black_box(tile.compose_reference(&mma_a).unwrap());
+            },
+            || {
+                std::hint::black_box(tile.compose(&mma_a).unwrap());
+            },
+        ),
+        before_after(
+            group,
+            "right_inverse",
+            || {
+                std::hint::black_box(ldmatrix_q.right_inverse_reference().unwrap());
+            },
+            || {
+                std::hint::black_box(ldmatrix_q.right_inverse().unwrap());
+            },
+        ),
+        before_after(
+            group,
+            "complement",
+            || {
+                std::hint::black_box(complement_arg.complement_reference(8192).unwrap());
+            },
+            || {
+                std::hint::black_box(complement_arg.complement(8192).unwrap());
+            },
+        ),
+        before_after(
+            group,
+            "coalesce",
+            || {
+                std::hint::black_box(coalesce_arg.coalesce_reference());
+            },
+            || {
+                std::hint::black_box(coalesce_arg.coalesce());
+            },
+        ),
+        before_after(
+            group,
+            "logical_divide",
+            || {
+                std::hint::black_box(divide_base.logical_divide_reference(&divide_tiler).unwrap());
+            },
+            || {
+                std::hint::black_box(divide_base.logical_divide(&divide_tiler).unwrap());
+            },
+        ),
+        before_after(
+            group,
+            "map_sweep_1k",
+            || {
+                std::hint::black_box((0..1024).map(|i| mma_a.map_reference(i)).sum::<usize>());
+            },
+            || {
+                std::hint::black_box((0..1024).map(|i| mma_a.map(i)).sum::<usize>());
+            },
+        ),
     ]
 }
 
@@ -192,7 +221,6 @@ fn small_gemm_program() -> hexcute_ir::Program {
 /// kernels.
 pub fn simulation_entries() -> Vec<FastPathEntry> {
     let arch = GpuArch::a100();
-    set_fast_path(true);
 
     let copy_program = copy_roundtrip_program();
     let copy_candidate = Synthesizer::new(&copy_program, &arch, SynthesisOptions::default())
@@ -209,60 +237,38 @@ pub fn simulation_entries() -> Vec<FastPathEntry> {
     gemm_inputs.insert("a".to_string(), vec![0.5f32; 64 * 64]);
     gemm_inputs.insert("b".to_string(), vec![0.25f32; 64 * 64]);
 
+    let copy_sim = FunctionalSim::new(&copy_program, &copy_candidate);
+    let gemm_sim = FunctionalSim::new(&gemm_program, &gemm_candidate);
     vec![
-        before_after("simulation", "functional_copy_roundtrip_64x64", || {
-            let sim = FunctionalSim::new(&copy_program, &copy_candidate);
-            std::hint::black_box(sim.run(&copy_inputs).unwrap());
-        }),
-        before_after("simulation", "functional_gemm_64x64x64", || {
-            let sim = FunctionalSim::new(&gemm_program, &gemm_candidate);
-            std::hint::black_box(sim.run(&gemm_inputs).unwrap());
-        }),
+        before_after(
+            "simulation",
+            "functional_copy_roundtrip_64x64",
+            || {
+                std::hint::black_box(copy_sim.run_reference(&copy_inputs).unwrap());
+            },
+            || {
+                std::hint::black_box(copy_sim.run(&copy_inputs).unwrap());
+            },
+        ),
+        before_after(
+            "simulation",
+            "functional_gemm_64x64x64",
+            || {
+                std::hint::black_box(gemm_sim.run_reference(&gemm_inputs).unwrap());
+            },
+            || {
+                std::hint::black_box(gemm_sim.run(&gemm_inputs).unwrap());
+            },
+        ),
     ]
 }
 
-/// The synthesis group: candidate enumeration plus shared-memory synthesis
-/// and full cost-ranked compilation.
-pub fn synthesis_entries() -> Vec<FastPathEntry> {
-    let arch = GpuArch::a100();
-    let gemm = fp16_gemm(GemmShape::new(4096, 4096, 4096), GemmConfig::default()).unwrap();
-
-    vec![
-        before_after("synthesis", "gemm_all_candidates", || {
-            std::hint::black_box(
-                Synthesizer::new(&gemm, &arch, SynthesisOptions::default())
-                    .synthesize()
-                    .unwrap(),
-            );
-        }),
-        before_after("synthesis", "compile_gemm_uncached", || {
-            let compiler = Compiler::with_options(arch.clone(), CompilerOptions::new());
-            std::hint::black_box(compiler.compile(&gemm).unwrap());
-        }),
-    ]
-}
-
-/// Measures `f(false)` (incremental evaluation off — the PR 1 fast-path
-/// behaviour, re-evaluating every candidate from scratch) against `f(true)`
-/// (the shared-prefix incremental search). The flat-layout fast path stays
-/// *enabled* for both sides: the baseline here is PR 1, not the recursive
-/// reference.
-fn incremental_before_after<F: FnMut(bool)>(name: &str, mut f: F) -> FastPathEntry {
-    set_fast_path(true);
-    let reference_ns = measure_ns(|| f(false), 5, 20.0);
-    let fast_ns = measure_ns(|| f(true), 5, 20.0);
-    FastPathEntry {
-        group: "synthesis_incremental".to_string(),
-        name: name.to_string(),
-        reference_ns,
-        fast_ns,
-    }
-}
-
-/// The incremental prefix-shared search group (PR 2): end-to-end candidate
-/// synthesis and cost-ranked compilation of the paper's kernel families,
-/// with the incremental evaluation toggled via
-/// [`SynthesisOptions::incremental`]. Feeds `BENCH_pr2.json`.
+/// The incremental prefix-shared search group (PR 2): candidate synthesis
+/// of the paper's kernel families through
+/// [`Synthesizer::synthesize_reference`] (every candidate re-evaluated from
+/// scratch) against [`Synthesizer::synthesize_outcome`], plus functional
+/// simulation of sibling candidates with and without a shared table cache.
+/// Feeds `repro_incremental`.
 pub fn synthesis_incremental_entries() -> Vec<FastPathEntry> {
     let arch = GpuArch::a100();
     let gemm = fp16_gemm(GemmShape::new(4096, 4096, 4096), GemmConfig::default()).unwrap();
@@ -278,39 +284,25 @@ pub fn synthesis_incremental_entries() -> Vec<FastPathEntry> {
     )
     .unwrap();
 
-    let options_with = |incremental: bool| SynthesisOptions {
-        incremental,
-        ..SynthesisOptions::default()
-    };
+    let group = "synthesis_incremental";
     let synthesize_entry = |name: &str, program: &Program| {
-        incremental_before_after(name, |incremental| {
-            std::hint::black_box(
-                Synthesizer::new(program, &arch, options_with(incremental))
-                    .synthesize()
-                    .unwrap(),
-            );
-        })
-    };
-    let compile_entry = |name: &str, program: &Program| {
-        incremental_before_after(name, |incremental| {
-            let compiler = Compiler::with_options(
-                arch.clone(),
-                CompilerOptions {
-                    synthesis: options_with(incremental),
-                    use_cost_model: true,
-                },
-            );
-            std::hint::black_box(compiler.compile(program).unwrap());
-        })
+        let synth = Synthesizer::new(program, &arch, SynthesisOptions::default());
+        before_after(
+            group,
+            name,
+            || {
+                std::hint::black_box(synth.synthesize_reference(None).unwrap());
+            },
+            || {
+                std::hint::black_box(synth.synthesize_outcome(None).unwrap());
+            },
+        )
     };
 
     let mut entries = vec![
         synthesize_entry("gemm_synthesize_all_candidates", &gemm),
         synthesize_entry("attention_synthesize_all_candidates", &attention),
         synthesize_entry("moe_synthesize_all_candidates", &moe),
-        compile_entry("gemm_compile_uncached", &gemm),
-        compile_entry("attention_compile_uncached", &attention),
-        compile_entry("moe_compile_uncached", &moe),
     ];
 
     // Functional simulation of every sibling candidate of one small GEMM:
@@ -323,19 +315,22 @@ pub fn synthesis_incremental_entries() -> Vec<FastPathEntry> {
     let mut sim_inputs = HashMap::new();
     sim_inputs.insert("a".to_string(), vec![0.5f32; 64 * 64]);
     sim_inputs.insert("b".to_string(), vec![0.25f32; 64 * 64]);
-    entries.push(incremental_before_after(
+    entries.push(before_after(
+        group,
         "functional_simulate_siblings",
-        |incremental| {
+        || {
+            for candidate in &sim_candidates {
+                let sim = FunctionalSim::new(&sim_program, candidate);
+                std::hint::black_box(sim.run(&sim_inputs).unwrap());
+            }
+        },
+        || {
             // A fresh cache per sweep: tables are shared across the sibling
             // candidates of one sweep, not across repeated measurements.
             let shared_cache = SimTableCache::new();
             for candidate in &sim_candidates {
                 let sim = FunctionalSim::new(&sim_program, candidate);
-                if incremental {
-                    std::hint::black_box(sim.run_with_cache(&sim_inputs, &shared_cache).unwrap());
-                } else {
-                    std::hint::black_box(sim.run(&sim_inputs).unwrap());
-                }
+                std::hint::black_box(sim.run_with_cache(&sim_inputs, &shared_cache).unwrap());
             }
         },
     ));
@@ -353,7 +348,6 @@ pub fn shared_cache_stats() -> (
     hexcute_parallel::cache::CacheStats,
 ) {
     let arch = GpuArch::a100();
-    set_fast_path(true);
     let program = small_gemm_program();
     let candidates = Synthesizer::new(&program, &arch, SynthesisOptions::default())
         .synthesize()
@@ -384,7 +378,6 @@ pub fn shared_cache_stats() -> (
 /// [`shared_cache_stats`].
 pub fn artifact_cache_stats() -> hexcute_core::KernelCacheStats {
     let arch = GpuArch::a100();
-    set_fast_path(true);
     let program = small_gemm_program();
     let cache = hexcute_core::KernelCache::new(hexcute_core::KernelCacheConfig::default());
     let compiler = Compiler::new(arch);
@@ -398,12 +391,10 @@ pub fn artifact_cache_stats() -> hexcute_core::KernelCacheStats {
     cache.stats()
 }
 
-/// Runs every group (leaving the fast path enabled afterwards).
+/// Runs the layout-algebra and simulation groups.
 pub fn run_all() -> Vec<FastPathEntry> {
     let mut entries = layout_algebra_entries();
     entries.extend(simulation_entries());
-    entries.extend(synthesis_entries());
-    set_fast_path(true);
     entries
 }
 

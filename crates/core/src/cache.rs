@@ -11,10 +11,6 @@
 //! fingerprint = stable_hash(program structure, target GpuArch, CompilerOptions)
 //! ```
 //!
-//! Toggles that are cross-checked to be bit-identical (the fast path, the
-//! incremental search, pruning) deliberately do *not* participate, so
-//! one artifact serves every execution configuration.
-//!
 //! Artifacts are stored as versioned JSON files (`<fingerprint>.json`) under
 //! a cache directory, with an in-memory [`ShardedMap`] front so repeat
 //! lookups in one process never touch the filesystem. The cache is
@@ -120,9 +116,7 @@ impl Hasher for StableHasher {
 /// The hash covers the full program structure (name, schedule, every tensor
 /// declaration, every operation), the complete architecture model (so A100
 /// and H100 artifacts never collide) and every result-affecting compiler
-/// option (see [`SynthesisOptions::hash_stable`]). Execution-strategy
-/// toggles that are cross-checked bit-for-bit — the fast path, the
-/// incremental search, pruning — are excluded on purpose.
+/// option (see [`SynthesisOptions::hash_stable`]).
 ///
 /// [`SynthesisOptions::hash_stable`]: hexcute_synthesis::SynthesisOptions::hash_stable
 pub fn artifact_fingerprint(program: &Program, arch: &GpuArch, options: &CompilerOptions) -> u64 {

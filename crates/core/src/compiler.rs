@@ -11,7 +11,7 @@ use hexcute_arch::GpuArch;
 use hexcute_codegen::{emit_cuda_like, lower, LoweredKernel};
 use hexcute_costmodel::{CompletionBounds, CostBreakdown, CostModel};
 use hexcute_ir::Program;
-use hexcute_sim::{estimate_kernel, FunctionalSim, PerfEvaluator, PerfReport, SimError};
+use hexcute_sim::{FunctionalSim, PerfEvaluator, PerfReport, SimError};
 use hexcute_synthesis::{
     CancelReason, CancelToken, Candidate, SynthesisError, SynthesisOptions, Synthesizer,
 };
@@ -246,7 +246,7 @@ impl Compiler {
         token: Option<&CancelToken>,
     ) -> Result<CompiledKernel, CompileError> {
         let start = Instant::now();
-        if self.prunes() {
+        if self.options.use_cost_model {
             if let Some(compiled) = self.compile_pruned(program, token, start)? {
                 return Ok(compiled);
             }
@@ -303,21 +303,9 @@ impl Compiler {
         })
     }
 
-    /// Whether [`Compiler::compile`] takes the branch-and-bound pruned
-    /// search. Pruning needs the cost model for scoring (so the Fig. 12
-    /// ground-truth mode, `use_cost_model = false`, still exhaustively
-    /// simulates every candidate) and rides on the incremental prefix walk;
-    /// both the per-request option and the process-wide kill switch
-    /// (`HEXCUTE_DISABLE_PRUNE`) must be on.
-    fn prunes(&self) -> bool {
-        self.options.use_cost_model
-            && self.options.synthesis.prune
-            && hexcute_synthesis::prune_enabled()
-            && self.options.synthesis.incremental
-            && hexcute_synthesis::incremental_enabled()
-    }
-
-    /// The branch-and-bound compile path: scores only the leaves the
+    /// The branch-and-bound compile path, taken whenever the cost model
+    /// selects (the Fig. 12 ground-truth mode, `use_cost_model = false`,
+    /// simulates every candidate instead): scores only the leaves the
     /// admissible bound cannot rule out, yielding the same winning candidate
     /// — and the same cost and perf breakdowns, bit for bit — as the
     /// exhaustive ranking. Returns `Ok(None)` when the search declines to
@@ -429,13 +417,10 @@ impl Compiler {
     /// both the analytical cost model and the performance simulator.
     ///
     /// The candidates are scored in enumeration order with one memoizing
-    /// cost model. With the incremental search on
-    /// (the default, see [`hexcute_synthesis::prefix`]), the performance
-    /// simulator additionally reuses the shared cost model's instruction
-    /// timeline and memoizes per-operation bank-conflict charges across
-    /// sibling candidates — bit-identical to the re-evaluating reference,
-    /// which stays available behind `HEXCUTE_DISABLE_INCREMENTAL=1` /
-    /// `SynthesisOptions::incremental = false`.
+    /// cost model, and the performance simulator reuses the shared cost
+    /// model's instruction timeline and memoizes per-operation bank-conflict
+    /// charges across sibling candidates — bit-identical to scoring each
+    /// candidate on its own with [`hexcute_sim::estimate_kernel`].
     ///
     /// # Errors
     ///
@@ -464,60 +449,23 @@ impl Compiler {
         // A budget-truncated outcome still ranks normally: `best_so_far` is
         // a deterministic prefix of the exhaustive candidate list.
         let candidates = outcome.into_candidates();
+        // Scored in enumeration order; a carried token cancels between
+        // candidates.
         let model = CostModel::new(&self.arch);
-        if self.options.synthesis.incremental && hexcute_synthesis::incremental_enabled() {
-            let evaluator = PerfEvaluator::new(&self.arch);
-            score_all(
-                candidates,
-                |candidate| {
-                    let cost = model.estimate(program, &candidate);
-                    let perf = evaluator.evaluate(program, &candidate, &cost);
-                    (candidate, cost, perf)
-                },
-                token,
-            )
-        } else {
-            score_all(
-                candidates,
-                |candidate| {
-                    let cost = model.estimate(program, &candidate);
-                    let perf = estimate_kernel(program, &candidate, &self.arch);
-                    (candidate, cost, perf)
-                },
-                token,
-            )
-        }
-    }
-}
-
-/// The typed error for a tripped token (the reason defaults defensively —
-/// a token that cancelled a map always carries one).
-fn cancelled_error(token: &CancelToken) -> CompileError {
-    CompileError::Cancelled {
-        reason: token.reason().unwrap_or(CancelReason::Shutdown),
-    }
-}
-
-/// Scores every candidate in enumeration order. A carried token cancels
-/// between candidates.
-fn score_all<F>(
-    candidates: Vec<Candidate>,
-    score: F,
-    token: Option<&CancelToken>,
-) -> Result<Vec<(Candidate, CostBreakdown, PerfReport)>, CompileError>
-where
-    F: Fn(Candidate) -> (Candidate, CostBreakdown, PerfReport),
-{
-    let mut scored = Vec::with_capacity(candidates.len());
-    for candidate in candidates {
-        if let Some(tok) = token {
-            if tok.is_cancelled() {
-                return Err(cancelled_error(tok));
+        let evaluator = PerfEvaluator::new(&self.arch);
+        let mut scored = Vec::with_capacity(candidates.len());
+        for candidate in candidates {
+            if let Some(tok) = token.filter(|tok| tok.is_cancelled()) {
+                // A tripped token always carries a reason; default defensively.
+                let reason = tok.reason().unwrap_or(CancelReason::Shutdown);
+                return Err(CompileError::Cancelled { reason });
             }
+            let cost = model.estimate(program, &candidate);
+            let perf = evaluator.evaluate(program, &candidate, &cost);
+            scored.push((candidate, cost, perf));
         }
-        scored.push(score(candidate));
+        Ok(scored)
     }
-    Ok(scored)
 }
 
 #[cfg(test)]

@@ -489,15 +489,20 @@ fn fingerprints_separate_programs_arches_and_options() {
         ..CompilerOptions::new()
     };
     assert_ne!(base, artifact_fingerprint(&gemm, &a100, &scalar));
-    // …but deliberately *not* to execution-strategy toggles, which are
-    // cross-checked bit-for-bit: one artifact serves every toggle.
-    let toggled = CompilerOptions {
+    // A set node budget or beam width can change the winner, so each
+    // fragments the fingerprint, and the two never alias each other.
+    let bounded = |node_budget, beam_width| CompilerOptions {
         synthesis: SynthesisOptions {
-            incremental: false,
-            prune: false,
-            ..SynthesisOptions::default()
+            node_budget,
+            beam_width,
+            ..defaults.synthesis.clone()
         },
         ..CompilerOptions::new()
     };
-    assert_eq!(base, artifact_fingerprint(&gemm, &a100, &toggled));
+    let budgeted = artifact_fingerprint(&gemm, &a100, &bounded(Some(2), None));
+    let beamed = artifact_fingerprint(&gemm, &a100, &bounded(None, Some(2)));
+    let unbounded = artifact_fingerprint(&gemm, &a100, &bounded(None, None));
+    assert_ne!(unbounded, budgeted, "budgets must not alias");
+    assert_ne!(unbounded, beamed, "beams must not alias");
+    assert_ne!(budgeted, beamed, "beam and budget tags are distinct");
 }

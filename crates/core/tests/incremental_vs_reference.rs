@@ -1,10 +1,12 @@
-//! Randomized equivalence sweep (satellite of the incremental-search PR):
-//! across GEMM, attention and mixed-type MoE kernels from `hexcute-kernels`,
-//! the incremental prefix-shared search must produce the *identical* ordered
-//! candidate list — and identical cost-model and performance-simulator
-//! scores, bit for bit — as the full re-evaluation path.
+//! Randomized equivalence sweep: across GEMM, attention and mixed-type MoE
+//! kernels from `hexcute-kernels`, the production ranking (incremental
+//! prefix-shared search, shared performance evaluator) must produce the
+//! *identical* ordered candidate list — and identical cost-model and
+//! performance-simulator scores, bit for bit — as the reference ranking
+//! (full re-evaluation, each candidate simulated on its own).
 
-use hexcute_core::{Compiler, CompilerOptions};
+mod common;
+
 use hexcute_ir::Program;
 use hexcute_kernels::attention::{mha_forward, AttentionConfig, AttentionShape};
 use hexcute_kernels::gemm::{fp16_gemm, GemmConfig, GemmShape};
@@ -12,48 +14,13 @@ use hexcute_kernels::moe::{mixed_type_moe, MoeConfig, MoeDataflow, MoeShape};
 use hexcute_synthesis::SynthesisOptions;
 use proptest::prelude::*;
 
+use common::{assert_scored_equal, production_ranking, reference_ranking};
+
 fn compile_both_ways(program: &Program) {
     for arch in [hexcute_arch::GpuArch::a100(), hexcute_arch::GpuArch::h100()] {
-        let with_incremental = |incremental: bool| {
-            let options = CompilerOptions {
-                synthesis: SynthesisOptions {
-                    incremental,
-                    ..SynthesisOptions::default()
-                },
-                use_cost_model: true,
-            };
-            Compiler::with_options(arch.clone(), options)
-                .compile_candidates(program)
-                .unwrap()
-        };
-        let reference = with_incremental(false);
-        let incremental = with_incremental(true);
-        assert_eq!(
-            reference.len(),
-            incremental.len(),
-            "candidate counts diverged for {} on {}",
-            program.name,
-            arch.name
-        );
-        for (i, ((rc, rcost, rperf), (ic, icost, iperf))) in
-            reference.iter().zip(incremental.iter()).enumerate()
-        {
-            assert_eq!(rc, ic, "candidate {i} of {} diverged", program.name);
-            assert_eq!(
-                rcost.total_cycles.to_bits(),
-                icost.total_cycles.to_bits(),
-                "cost of candidate {i} of {} diverged",
-                program.name
-            );
-            assert_eq!(rcost, icost);
-            assert_eq!(
-                rperf.latency_us.to_bits(),
-                iperf.latency_us.to_bits(),
-                "latency of candidate {i} of {} diverged",
-                program.name
-            );
-            assert_eq!(rperf, iperf);
-        }
+        let reference = reference_ranking(program, &arch, SynthesisOptions::default());
+        let production = production_ranking(program, &arch, SynthesisOptions::default());
+        assert_scored_equal(&arch.name, program, &reference, &production);
     }
 }
 

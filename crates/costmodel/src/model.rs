@@ -1,20 +1,15 @@
 //! The analytical latency model.
 //!
-//! When the flat fast path is enabled (see [`hexcute_layout::fastpath`]),
-//! per-operation issue/completion estimates are memoized across candidates:
+//! Per-operation issue/completion estimates are memoized across candidates:
 //! the search tree varies one instruction choice at a time, so most
 //! operations of sibling candidates share identical choices and their costs
 //! are computed once. The cache key is a fingerprint of exactly the choice
 //! fields the estimate reads, so memoized results are bit-identical to
 //! recomputed ones.
 //!
-//! With the incremental prefix-shared search (see
-//! [`hexcute_synthesis::prefix`]) the accumulation over a candidate is
-//! additionally memoized whole: estimates accrue per shared prefix through
-//! the per-operation cache, and a repeat estimate of a candidate whose full
-//! choice fingerprint was seen before is a single lookup. Both layers are
-//! disabled together with their respective switches, restoring the
-//! recompute-everything reference behaviour.
+//! The accumulation over a candidate is additionally memoized whole: a
+//! repeat estimate of a candidate whose full choice fingerprint was seen
+//! before is a single lookup.
 
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
@@ -23,7 +18,6 @@ use std::sync::{Arc, RwLock};
 
 use hexcute_arch::GpuArch;
 use hexcute_ir::{Op, OpId, OpKind, Program, TensorId};
-use hexcute_layout::fastpath;
 use hexcute_parallel::cache::{CacheStats, ShardedMap};
 use hexcute_synthesis::Candidate;
 
@@ -84,7 +78,7 @@ pub struct CostModel<'a> {
     op_cache: ShardedMap<(OpId, u64), (f64, f64)>,
     /// Whole-candidate estimates keyed by [`candidate_fingerprint`]: repeat
     /// scorings of a candidate (e.g. the cost model feeding the performance
-    /// simulator) are a single lookup when the incremental search is on.
+    /// simulator) are a single lookup.
     /// Bounded by [`CANDIDATE_CACHE_CAPACITY`].
     candidate_cache: ShardedMap<u64, CostBreakdown>,
     /// [`program_fingerprint`] of the program the caches currently describe.
@@ -170,34 +164,19 @@ impl<'a> CostModel<'a> {
 
     /// Estimates the per-block latency of a candidate program.
     ///
-    /// When both the fast path and the incremental search are enabled, the
-    /// whole estimate is memoized per candidate fingerprint; the memoized
-    /// value is bit-identical to a recomputation.
+    /// The whole estimate is memoized per candidate fingerprint; the
+    /// memoized value is bit-identical to a recomputation.
     pub fn estimate(&self, program: &Program, candidate: &Candidate) -> CostBreakdown {
         let tag = self.retag(program);
-        if fastpath::enabled() && hexcute_synthesis::incremental_enabled() {
-            return self
-                .candidate_cache
-                .get_or_insert_with(candidate_fingerprint(program, candidate), || {
-                    self.estimate_uncached(program, candidate, tag)
-                });
-        }
-        self.estimate_uncached(program, candidate, tag)
-    }
-
-    /// The uncached estimate behind [`CostModel::estimate`].
-    fn estimate_uncached(
-        &self,
-        program: &Program,
-        candidate: &Candidate,
-        tag: u64,
-    ) -> CostBreakdown {
-        self.estimate_with_costs(
-            program,
-            tag,
-            &|op| self.op_cycles_memo(program, candidate, op),
-            self.rearrange_cycles(candidate),
-        )
+        self.candidate_cache
+            .get_or_insert_with(candidate_fingerprint(program, candidate), || {
+                self.estimate_with_costs(
+                    program,
+                    tag,
+                    &|op| self.op_cycles_memo(program, candidate, op),
+                    self.rearrange_cycles(candidate),
+                )
+            })
     }
 
     /// The estimate arithmetic with the per-operation costs supplied by the
@@ -353,9 +332,9 @@ impl<'a> CostModel<'a> {
     /// Issue and completion cycles of one tile-level operation under the
     /// candidate's instruction choices.
     ///
-    /// Results are memoized per `(operation, choice fingerprint)` when the
-    /// fast path is enabled, so candidates sharing a choice for an operation
-    /// pay for its estimate once. The cache is invalidated when `program`
+    /// Results are memoized per `(operation, choice fingerprint)`, so
+    /// candidates sharing a choice for an operation pay for its estimate
+    /// once. The cache is invalidated when `program`
     /// differs from the one the model last saw (operation ids are only
     /// unique within a program).
     pub fn op_cycles(&self, program: &Program, candidate: &Candidate, op: &Op) -> (f64, f64) {
@@ -371,9 +350,6 @@ impl<'a> CostModel<'a> {
         candidate: &Candidate,
         op: &Op,
     ) -> (f64, f64) {
-        if !fastpath::enabled() {
-            return self.op_cycles_uncached(program, candidate, op);
-        }
         let fp = op_choice_fingerprint(candidate, op);
         // The op-cost compute is cheap and touches no other cache, so it
         // can afford the compute-under-lock single probe.

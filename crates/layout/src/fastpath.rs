@@ -1,4 +1,4 @@
-//! Fast-path switch and the memoization cache for the layout algebra.
+//! The memoization cache for the layout algebra.
 //!
 //! Layout synthesis performs the same `compose` / `complement` /
 //! `right_inverse` calls over and over while walking its DFS search tree, so
@@ -6,18 +6,17 @@
 //! layouts: the first call computes through the flat representation
 //! ([`crate::FlatLayout`]), every repeat is a hash lookup plus a clone.
 //!
-//! The whole fast path (memoized algebra here, the table-driven simulator in
-//! `hexcute-sim`, and the parallel candidate search in `hexcute-synthesis`)
-//! is controlled by one switch: [`set_enabled`], initialized from the
-//! `HEXCUTE_DISABLE_FAST_PATH` environment variable. Disabling it routes
-//! every operation through the recursive reference implementations, which is
-//! how the before/after benchmarks and the flat-vs-reference property tests
-//! exercise both paths in one process.
+//! This is the only production path. The recursive `*_reference` methods on
+//! [`Layout`] are plain functions that tests and benchmarks call directly.
+//! In debug builds every memo miss also computes the reference result and
+//! asserts that both are equal, so every debug test that synthesizes a
+//! kernel cross-checks compose, complement, both inverses, divide and
+//! product on the exact operands its search produces. Release builds skip
+//! the check.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::error::Result;
 use crate::layout::Layout;
@@ -76,30 +75,6 @@ impl Hasher for FxHasher {
 }
 
 type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// 0 = uninitialized, 1 = enabled, 2 = disabled.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Returns `true` when the flat fast path (memoized algebra, table-driven
-/// simulation, parallel search) is active.
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let disabled = std::env::var("HEXCUTE_DISABLE_FAST_PATH")
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-                .unwrap_or(false);
-            STATE.store(if disabled { 2 } else { 1 }, Ordering::Relaxed);
-            !disabled
-        }
-    }
-}
-
-/// Globally enables or disables the fast path (all threads, process-wide).
-pub fn set_enabled(on: bool) {
-    STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// Hit/miss counters of the current thread's algebra cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -197,6 +172,7 @@ pub(crate) fn memo_compose(
         // interner IDs behind `key` — hence the generation guard below).
         drop(cache);
         let result = compute();
+        debug_assert_eq!(result, a.compose_reference(b), "compose {a} ∘ {b}");
         let mut cache = cell.borrow_mut();
         cache.stats.misses += 1;
         if cache.generation == generation {
@@ -222,6 +198,11 @@ pub(crate) fn memo_complement(
         let generation = cache.generation;
         drop(cache);
         let result = compute();
+        debug_assert_eq!(
+            result,
+            a.complement_reference(target),
+            "complement of {a} in {target}"
+        );
         let mut cache = cell.borrow_mut();
         cache.stats.misses += 1;
         if cache.generation == generation {
@@ -252,6 +233,7 @@ pub(crate) fn memo_binary(
         let generation = cache.generation;
         drop(cache);
         let result = compute();
+        debug_assert_eq!(result, op.reference(a, b), "{op:?} of {a} by {b}");
         let mut cache = cell.borrow_mut();
         cache.stats.misses += 1;
         if cache.generation == generation {
@@ -271,10 +253,30 @@ pub(crate) enum BinaryOp {
     LogicalProduct,
 }
 
+impl BinaryOp {
+    /// The recursive reference result the memoized one must equal.
+    fn reference(self, a: &Layout, b: &Layout) -> Result<Layout> {
+        match self {
+            BinaryOp::LogicalDivide => a.logical_divide_reference(b),
+            BinaryOp::LogicalProduct => a.logical_product_reference(b),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum UnaryOp {
     RightInverse,
     LeftInverse,
+}
+
+impl UnaryOp {
+    /// The recursive reference result the memoized one must equal.
+    fn reference(self, a: &Layout) -> Result<Layout> {
+        match self {
+            UnaryOp::RightInverse => a.right_inverse_reference(),
+            UnaryOp::LeftInverse => a.left_inverse_reference(),
+        }
+    }
 }
 
 pub(crate) fn memo_unary(
@@ -297,6 +299,7 @@ pub(crate) fn memo_unary(
         let generation = cache.generation;
         drop(cache);
         let result = compute();
+        debug_assert_eq!(result, op.reference(a), "{op:?} of {a}");
         let mut cache = cell.borrow_mut();
         cache.stats.misses += 1;
         if cache.generation == generation {
@@ -316,7 +319,6 @@ mod tests {
 
     #[test]
     fn memoization_hits_on_repeats() {
-        set_enabled(true);
         clear_cache();
         let a = Layout::column_major(&[32, 16]);
         let b = Layout::from_flat(&[8, 4], &[4, 128]);
@@ -335,7 +337,6 @@ mod tests {
 
     #[test]
     fn eviction_keeps_results_correct() {
-        set_enabled(true);
         clear_cache();
         let base = Layout::identity(1 << 20);
         // Drive enough distinct operands through the nested memoized ops
@@ -367,7 +368,6 @@ mod tests {
 
     #[test]
     fn errors_are_memoized_too() {
-        set_enabled(true);
         clear_cache();
         let a = Layout::from_flat(&[3, 5], &[5, 1]);
         let b = Layout::from_mode(2, 2);

@@ -4,7 +4,6 @@
 use std::fmt;
 
 use crate::error::{LayoutError, Result};
-use crate::fastpath;
 use crate::flat::FlatLayout;
 use crate::int_tuple::IntTuple;
 
@@ -203,9 +202,6 @@ impl Layout {
     /// without allocating; [`Layout::map_reference`] is the original
     /// allocation-per-call implementation kept for cross-checking.
     pub fn map(&self, index: usize) -> usize {
-        if !fastpath::enabled() {
-            return self.map_reference(index);
-        }
         // Single allocation-free traversal. This intentionally does NOT go
         // through `FlatLayout::from_layout(self).map(index)`: `map` is the
         // hottest call in synthesis (cosize/bijectivity/equivalence checks)
@@ -270,9 +266,6 @@ impl Layout {
     ///
     /// Panics if the coordinate rank does not match the leaf count.
     pub fn map_coords(&self, coords: &[usize]) -> usize {
-        if !fastpath::enabled() {
-            return self.map_coords_reference(coords);
-        }
         fn walk(stride: &IntTuple, coords: &[usize], pos: &mut usize, acc: &mut usize) {
             match stride {
                 IntTuple::Int(d) => {
@@ -398,9 +391,6 @@ impl Layout {
     /// assert!(l.equivalent(&c));
     /// ```
     pub fn coalesce(&self) -> Layout {
-        if !fastpath::enabled() {
-            return self.coalesce_reference();
-        }
         let flat = FlatLayout::from_layout(self).coalesced();
         let modes = flat.modes();
         if modes.len() == 1 {

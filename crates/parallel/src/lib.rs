@@ -145,6 +145,11 @@ fn fault_fires(point: PoolFaultPoint) -> bool {
         .lock()
         .unwrap_or_else(|p| p.into_inner())
         .clone();
+    verdict(hook.as_ref(), point)
+}
+
+/// The verdict of `hook` at `point`; `false` without a hook.
+fn verdict(hook: Option<&PoolFaultHook>, point: PoolFaultPoint) -> bool {
     hook.is_some_and(|h| h(point))
 }
 
@@ -264,7 +269,9 @@ struct QueuedJob {
 
 struct PoolInner {
     queue: VecDeque<QueuedJob>,
-    idle: usize,
+    /// Workers inside a claimed job. Every other spawned worker is free to
+    /// claim the next job, even before it parks again on the condvar.
+    busy: usize,
     spawned: usize,
     next_id: u64,
 }
@@ -279,7 +286,7 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool {
         inner: Mutex::new(PoolInner {
             queue: VecDeque::new(),
-            idle: 0,
+            busy: 0,
             spawned: 0,
             next_id: 0,
         }),
@@ -298,7 +305,7 @@ impl Pool {
         // participates in its own job, so fewer helpers only means less
         // parallelism — never a stuck or dangling job. Panicking here with
         // the job already queued would leak a handle to freed stack memory.
-        let deficit = tickets.saturating_sub(inner.idle);
+        let deficit = tickets.saturating_sub(inner.spawned - inner.busy);
         self.spawn_workers(&mut inner, deficit);
         POOL_JOBS.fetch_add(1, Ordering::Relaxed);
         let id = inner.next_id;
@@ -368,16 +375,19 @@ impl Pool {
                 // Register while still holding the pool lock: `retire`
                 // acquires the same lock, so a registration is never missed.
                 unsafe { (*handle.gate).enter() };
+                inner.busy += 1;
                 drop(inner);
                 // SAFETY: the gate registration above keeps the job state
                 // alive until `leave` below.
                 unsafe { (handle.run)(handle.state) };
-                unsafe { (*handle.gate).leave() };
+                // Free again *before* leaving the job: the submitter returns
+                // once every helper has left, and its next `submit` must see
+                // this worker as free instead of spawning a new one.
                 inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+                inner.busy -= 1;
+                unsafe { (*handle.gate).leave() };
             } else {
-                inner.idle += 1;
                 inner = self.work.wait(inner).unwrap_or_else(|p| p.into_inner());
-                inner.idle -= 1;
             }
         }
     }
@@ -793,7 +803,10 @@ mod tests {
 
     #[test]
     fn no_hook_means_no_injection() {
-        assert!(!fault_fires(PoolFaultPoint::JobItem));
-        assert!(!fault_fires(PoolFaultPoint::WorkerClaim));
+        assert!(!verdict(None, PoolFaultPoint::JobItem));
+        assert!(!verdict(None, PoolFaultPoint::WorkerClaim));
+        let claims_only: PoolFaultHook = Arc::new(|point| point == PoolFaultPoint::WorkerClaim);
+        assert!(!verdict(Some(&claims_only), PoolFaultPoint::JobItem));
+        assert!(verdict(Some(&claims_only), PoolFaultPoint::WorkerClaim));
     }
 }

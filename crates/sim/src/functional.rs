@@ -8,17 +8,16 @@
 //! compiling kernels and comparing their simulated output against reference
 //! implementations.
 //!
-//! ## Table-driven fast path
+//! ## Table-driven execution
 //!
 //! Evaluating the layout index function per element is expensive: every
 //! `tile_coords` / `address` call walks hierarchical tuples and allocates.
-//! When the flat fast path is enabled (see [`hexcute_layout::fastpath`]),
-//! the simulator instead precomputes per-operation **index tables** once —
+//! The simulator instead precomputes per-operation **index tables** once —
 //! for each `(thread, value)` pair the source and destination addresses,
 //! with the main-loop iteration folded in as a single additive offset — and
-//! the inner loops become straight array indexing. The reference
-//! element-by-element path is kept and used when the fast path is disabled;
-//! both paths produce bit-identical buffers.
+//! the inner loops become straight array indexing. The element-by-element
+//! evaluation is kept as [`FunctionalSim::run_reference`], which tests and
+//! benchmarks call directly; both produce bit-identical buffers.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -27,7 +26,7 @@ use std::sync::Arc;
 
 use hexcute_arch::{DType, MemSpace};
 use hexcute_ir::{ElementwiseOp, Op, OpId, OpKind, Program, ReduceOp, TensorId};
-use hexcute_layout::{fastpath, Layout, Swizzle, SwizzledLayout, TvLayout};
+use hexcute_layout::{Layout, Swizzle, SwizzledLayout, TvLayout};
 use hexcute_parallel::cache::{CacheStats, ShardedMap};
 use hexcute_synthesis::Candidate;
 
@@ -92,7 +91,7 @@ fn truncate_mantissa(x: f32, dropped_bits: u32) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// Precomputed index tables (the fast path).
+// Precomputed index tables.
 // ---------------------------------------------------------------------------
 
 /// The per-iteration part of an address: the leaf extents and strides of the
@@ -233,11 +232,13 @@ impl SimTableCache {
     }
 }
 
-/// Per-run state: the fingerprints resolved once per operation/tensor for
-/// this candidate (so inner loops don't re-hash layouts per iteration) and
-/// the reusable scratch buffer.
+/// Per-run state: whether this run indexes through tables or evaluates the
+/// layouts element by element, the fingerprints resolved once per
+/// operation/tensor for this candidate (so inner loops don't re-hash
+/// layouts per iteration) and the reusable scratch buffer.
 #[derive(Debug, Default)]
 struct RunState {
+    tables: bool,
     copy_fp: HashMap<OpId, u64>,
     tv_fp: HashMap<TensorId, u64>,
     gather_fp: HashMap<TensorId, u64>,
@@ -307,6 +308,32 @@ impl<'a> FunctionalSim<'a> {
         inputs: &HashMap<String, Vec<f32>>,
         cache: &SimTableCache,
     ) -> Result<HashMap<String, Vec<f32>>> {
+        self.run_in(inputs, cache, true)
+    }
+
+    /// The element-by-element reference for [`FunctionalSim::run`]: every
+    /// access evaluates the layout index functions directly and no index
+    /// table is built. Bit-identical to the table-driven runs; kept for
+    /// cross-checking and before/after measurements.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FunctionalSim::run`].
+    pub fn run_reference(
+        &self,
+        inputs: &HashMap<String, Vec<f32>>,
+    ) -> Result<HashMap<String, Vec<f32>>> {
+        self.run_in(inputs, &SimTableCache::new(), false)
+    }
+
+    /// One run, table-driven through `cache` when `tables` is set, element
+    /// by element (leaving `cache` untouched) otherwise.
+    fn run_in(
+        &self,
+        inputs: &HashMap<String, Vec<f32>>,
+        cache: &SimTableCache,
+        tables: bool,
+    ) -> Result<HashMap<String, Vec<f32>>> {
         let threads = self.program.threads_per_block;
 
         // Global buffers.
@@ -363,7 +390,10 @@ impl<'a> FunctionalSim<'a> {
 
         // Per-run fingerprint resolutions and scratch; the index tables
         // themselves live in `cache` and may outlive this run.
-        let mut state = RunState::default();
+        let mut state = RunState {
+            tables,
+            ..RunState::default()
+        };
 
         // Execution order: pre-loop ops, the loop, post-loop ops.
         let first_loop = self.program.ops().iter().position(|o| o.in_main_loop);
@@ -694,7 +724,7 @@ impl<'a> FunctionalSim<'a> {
         cache: &SimTableCache,
         state: &mut RunState,
     ) -> Result<()> {
-        if !fastpath::enabled() {
+        if !state.tables {
             return self.execute_copy_reference(op, src, dst, iteration, global, shared, regs);
         }
         let table = match state.copy_fp.get(&op.id) {
@@ -926,10 +956,9 @@ impl<'a> FunctionalSim<'a> {
         let tile = decl.tile_shape_2d();
         let total: usize = tile.iter().product();
         let mut full = vec![0.0f32; total];
-        let fast = fastpath::enabled();
         match decl.space {
             MemSpace::Register => {
-                if fast {
+                if state.tables {
                     let file = regs.get(&id).ok_or_else(|| self.missing(id))?;
                     let table = self.tv_table(id, cache, state)?;
                     for t in 0..table.threads {
@@ -960,7 +989,7 @@ impl<'a> FunctionalSim<'a> {
             }
             MemSpace::Shared => {
                 let buffer = shared.get(&id).ok_or_else(|| self.missing(id))?;
-                if fast {
+                if state.tables {
                     let fp = match state.gather_fp.get(&id) {
                         Some(&fp) => fp,
                         None => {
@@ -1018,7 +1047,7 @@ impl<'a> FunctionalSim<'a> {
     ) -> Result<()> {
         let decl = self.program.tensor(id);
         let total: usize = decl.tile_shape_2d().iter().product();
-        if fastpath::enabled() {
+        if state.tables {
             let table = self.tv_table(id, cache, state)?;
             let file = regs.get_mut(&id).ok_or_else(|| self.missing(id))?;
             for t in 0..table.threads {
@@ -1183,6 +1212,8 @@ impl<'a> FunctionalSim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use hexcute_arch::GpuArch;
     use hexcute_ir::KernelBuilder;
     use hexcute_synthesis::{SynthesisOptions, Synthesizer};
@@ -1338,20 +1369,40 @@ mod tests {
         inputs.insert("a".to_string(), random_vec(&mut rng, m * k));
         inputs.insert("b".to_string(), random_vec(&mut rng, n * k));
 
-        let sim = FunctionalSim::new(&program, &candidate);
-        let was_enabled = fastpath::enabled();
-        fastpath::set_enabled(true);
-        let fast = sim.run(&inputs).unwrap();
-        fastpath::set_enabled(false);
-        let reference = sim.run(&inputs).unwrap();
-        fastpath::set_enabled(was_enabled);
-        // Bit-for-bit identical, not just approximately equal.
-        assert_eq!(fast.len(), reference.len());
-        for (name, buf) in &fast {
-            let ref_bits: Vec<u32> = reference[name].iter().map(|x| x.to_bits()).collect();
-            let fast_bits: Vec<u32> = buf.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(fast_bits, ref_bits, "buffer {name} diverged");
-        }
+        assert_table_and_element_runs_agree(&FunctionalSim::new(&program, &candidate), &inputs);
+    }
+
+    /// Runs `sim` table-driven and element by element and asserts bit-for-bit
+    /// identical buffers, with a witness that each path ran: the table run
+    /// fills a fresh cache, the element runs leave one empty.
+    fn assert_table_and_element_runs_agree(
+        sim: &FunctionalSim<'_>,
+        inputs: &HashMap<String, Vec<f32>>,
+    ) {
+        let tables = SimTableCache::new();
+        let fast = sim.run_with_cache(inputs, &tables).unwrap();
+        assert!(!tables.is_empty(), "the table-driven run built no tables");
+        let untouched = SimTableCache::new();
+        let element = sim.run_in(inputs, &untouched, false).unwrap();
+        assert!(
+            untouched.is_empty(),
+            "the element-by-element run built tables"
+        );
+        let bits = |out: &HashMap<String, Vec<f32>>| -> BTreeMap<String, Vec<u32>> {
+            out.iter()
+                .map(|(name, buf)| (name.clone(), buf.iter().map(|x| x.to_bits()).collect()))
+                .collect()
+        };
+        assert_eq!(
+            bits(&fast),
+            bits(&element),
+            "table and element runs diverged"
+        );
+        assert_eq!(
+            bits(&element),
+            bits(&sim.run_reference(inputs).unwrap()),
+            "run_reference diverged from the element-by-element run"
+        );
     }
 
     #[test]
@@ -1402,10 +1453,7 @@ mod tests {
         // One long-lived cache serves every sibling candidate; outputs must
         // equal the per-run-cache outputs bit for bit. Siblings sharing all
         // choices for an op reuse its tables, so the cache grows by less
-        // than a full table set per candidate. Tables only exist on the fast
-        // path, so force it on for the sharing measurement.
-        let was_enabled = fastpath::enabled();
-        fastpath::set_enabled(true);
+        // than a full table set per candidate.
         let cache = SimTableCache::new();
         let mut sizes = Vec::new();
         for candidate in &candidates {
@@ -1419,10 +1467,12 @@ mod tests {
             }
             sizes.push(cache.len());
         }
-        fastpath::set_enabled(was_enabled);
         let first = sizes[0];
         let last = *sizes.last().unwrap();
-        assert!(first > 0, "the fast path built no tables at all: {sizes:?}");
+        assert!(
+            first > 0,
+            "the table-driven run built no tables at all: {sizes:?}"
+        );
         assert!(
             last < first * candidates.len(),
             "no table sharing across siblings: {sizes:?}"
@@ -1580,19 +1630,9 @@ mod tests {
                 );
             }
         }
-        // The fast (table-driven) and reference element paths agree bit for
-        // bit on the dequant kernel too.
-        let was_enabled = fastpath::enabled();
-        fastpath::set_enabled(true);
-        let fast = sim.run(&inputs).unwrap();
-        fastpath::set_enabled(false);
-        let reference = sim.run(&inputs).unwrap();
-        fastpath::set_enabled(was_enabled);
-        for (name, buf) in &fast {
-            let fast_bits: Vec<u32> = buf.iter().map(|x| x.to_bits()).collect();
-            let ref_bits: Vec<u32> = reference[name].iter().map(|x| x.to_bits()).collect();
-            assert_eq!(fast_bits, ref_bits, "buffer {name} diverged across paths");
-        }
+        // The table-driven and element-by-element runs agree bit for bit on
+        // the dequant kernel too.
+        assert_table_and_element_runs_agree(&sim, &inputs);
     }
 
     #[test]

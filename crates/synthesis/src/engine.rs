@@ -23,8 +23,10 @@ use crate::smem::synthesize_smem_layouts;
 /// The deterministic node budget ([`SynthesisOptions::node_budget`]) bounds
 /// how many selections the enumeration evaluates by truncating the
 /// deterministic selection list *before* the walk starts, so a truncated
-/// outcome is bit-identical for the incremental and reference paths alike. Contrast with wall-clock cancellation, which
-/// yields a typed [`SynthesisError::Cancelled`] and never a partial result.
+/// outcome is bit-identical for [`Synthesizer::synthesize_outcome`] and
+/// [`Synthesizer::synthesize_reference`] alike. Contrast with wall-clock
+/// cancellation, which yields a typed [`SynthesisError::Cancelled`] and
+/// never a partial result.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SynthesisOutcome {
     /// The full enumeration was evaluated.
@@ -148,11 +150,10 @@ impl<'a> Synthesizer<'a> {
     /// selections are all shared-memory-infeasible still reaches the feasible
     /// ones further down the tree.
     ///
-    /// By default the candidates are evaluated incrementally along shared
-    /// choice prefixes (see [`crate::prefix`]); the full per-candidate
-    /// re-evaluation stays available via
-    /// [`SynthesisOptions::incremental`]` = false` or
-    /// `HEXCUTE_DISABLE_INCREMENTAL=1` and produces bit-identical results.
+    /// The candidates are evaluated incrementally along shared choice
+    /// prefixes (see [`crate::prefix`]); [`Synthesizer::synthesize_reference`]
+    /// re-evaluates every candidate from scratch and produces bit-identical
+    /// results.
     ///
     /// # Errors
     ///
@@ -162,9 +163,9 @@ impl<'a> Synthesizer<'a> {
         Ok(self.synthesize_with_stats()?.0)
     }
 
-    /// [`Synthesizer::synthesize`] plus the prefix-sharing counters (see [`crate::prefix::PrefixStats`]); the stats are `None`
-    /// when the re-evaluating reference path ran instead of the incremental
-    /// search.
+    /// [`Synthesizer::synthesize`] plus the prefix-sharing counters (see
+    /// [`crate::prefix::PrefixStats`]), which are always present here and
+    /// absent from [`Synthesizer::synthesize_reference`].
     ///
     /// # Errors
     ///
@@ -191,13 +192,33 @@ impl<'a> Synthesizer<'a> {
         &self,
         token: Option<&CancelToken>,
     ) -> Result<(SynthesisOutcome, Option<crate::prefix::PrefixStats>)> {
-        let base = self.solve_tv()?;
-        let plans = self.build_copy_plans(&base)?;
-        let mut selections = self.enumerate_selections(&plans);
-        // The node budget truncates the deterministic enumeration *before*
-        // either evaluation path starts, which is what makes a truncated
-        // outcome bit-identical across toggles. (A budget
-        // of 0 is clamped to 1: the preferred selection always runs.)
+        self.search(token, true)
+    }
+
+    /// The re-evaluating reference for [`Synthesizer::synthesize_outcome`]:
+    /// the same thread-value solve, copy plans and node-budget truncation,
+    /// then every candidate is materialized and its shared-memory layouts are
+    /// synthesized from scratch, without a prefix tree (so the stats are
+    /// `None`). Bit-identical to the incremental walk; kept for
+    /// cross-checking and before/after measurements.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Synthesizer::synthesize_outcome`].
+    pub fn synthesize_reference(
+        &self,
+        token: Option<&CancelToken>,
+    ) -> Result<(SynthesisOutcome, Option<crate::prefix::PrefixStats>)> {
+        self.search(token, false)
+    }
+
+    /// The selection list every search walks: the deterministic enumeration,
+    /// truncated by the node budget *before* any walk starts, which is what
+    /// makes a truncated outcome bit-identical across the walks. (A budget
+    /// of 0 is clamped to 1: the preferred selection always runs.) Returns
+    /// the selections and whether the budget truncated them.
+    fn budgeted_selections(&self, plans: &[CopyPlan]) -> (Vec<Vec<usize>>, bool) {
+        let mut selections = self.enumerate_selections(plans);
         let truncated = match self.options.node_budget {
             Some(budget) if selections.len() > budget.max(1) => {
                 selections.truncate(budget.max(1));
@@ -205,8 +226,21 @@ impl<'a> Synthesizer<'a> {
             }
             _ => false,
         };
+        (selections, truncated)
+    }
+
+    /// The body of [`Synthesizer::synthesize_outcome`] (`incremental`) and
+    /// [`Synthesizer::synthesize_reference`].
+    fn search(
+        &self,
+        token: Option<&CancelToken>,
+        incremental: bool,
+    ) -> Result<(SynthesisOutcome, Option<crate::prefix::PrefixStats>)> {
+        let base = self.solve_tv()?;
+        let plans = self.build_copy_plans(&base)?;
+        let (selections, truncated) = self.budgeted_selections(&plans);
         let max = self.options.max_candidates.max(1);
-        let (finished, stats) = if self.options.incremental && crate::incremental_enabled() {
+        let (finished, stats) = if incremental {
             let (finished, stats) = self.walk_serial(&base, &plans, &selections, max, token)?;
             (finished, Some(stats))
         } else {
@@ -1058,14 +1092,7 @@ impl<'a> Synthesizer<'a> {
     ) -> Result<Option<crate::PrunedOutcome>> {
         let base = self.solve_tv()?;
         let plans = self.build_copy_plans(&base)?;
-        let mut selections = self.enumerate_selections(&plans);
-        let truncated = match self.options.node_budget {
-            Some(budget) if selections.len() > budget.max(1) => {
-                selections.truncate(budget.max(1));
-                true
-            }
-            _ => false,
-        };
+        let (mut selections, truncated) = self.budgeted_selections(&plans);
         let beam = self.options.beam_width.map(|w| w.max(1));
         if beam.is_none() && selections.len() > self.options.max_candidates.max(1) {
             return Ok(None);
@@ -1676,16 +1703,17 @@ mod tests {
         // A tight budget truncates: the preferred prefix of the exhaustive
         // list, bit-identical across the incremental walk and the reference
         // path.
+        let tight = SynthesisOptions {
+            node_budget: Some(2),
+            ..SynthesisOptions::default()
+        };
+        let synth = Synthesizer::new(&program, &arch, tight);
+        let (incremental, stats) = synth.synthesize_outcome(None).unwrap();
+        assert!(stats.is_some(), "the incremental walk ran");
+        let (reference, stats) = synth.synthesize_reference(None).unwrap();
+        assert!(stats.is_none(), "the reference builds no prefix tree");
         let mut results = Vec::new();
-        for incremental in [true, false] {
-            let tight = SynthesisOptions {
-                node_budget: Some(2),
-                incremental,
-                ..SynthesisOptions::default()
-            };
-            let (outcome, _) = Synthesizer::new(&program, &arch, tight)
-                .synthesize_outcome(None)
-                .unwrap();
+        for outcome in [incremental, reference] {
             assert!(outcome.is_truncated(), "2 < full space must truncate");
             results.push(outcome.into_candidates());
         }
@@ -1704,13 +1732,12 @@ mod tests {
         let arch = GpuArch::a100();
         let token = CancelToken::new();
         token.cancel(CancelReason::Deadline);
-        for incremental in [true, false] {
-            let options = SynthesisOptions {
-                incremental,
-                ..SynthesisOptions::default()
-            };
-            let synth = Synthesizer::new(&program, &arch, options);
-            match synth.synthesize_outcome(Some(&token)) {
+        let synth = Synthesizer::new(&program, &arch, SynthesisOptions::default());
+        for outcome in [
+            synth.synthesize_outcome(Some(&token)),
+            synth.synthesize_reference(Some(&token)),
+        ] {
+            match outcome {
                 Err(SynthesisError::Cancelled(CancelReason::Deadline)) => {}
                 other => panic!("expected a typed cancellation, got {other:?}"),
             }

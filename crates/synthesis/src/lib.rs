@@ -22,17 +22,16 @@
 //! The candidates are ranked by the analytical cost model in
 //! `hexcute-costmodel`; the driver in `hexcute-core` ties the two together.
 //!
-//! Candidates are evaluated *incrementally* along shared choice prefixes by
-//! default (see [`prefix`]): constraint unification and per-tensor
-//! shared-memory finishing are memoized across sibling candidates. The full
-//! per-candidate re-evaluation stays available behind
-//! [`SynthesisOptions::incremental`]` = false` /
-//! `HEXCUTE_DISABLE_INCREMENTAL=1` and is cross-checked bit-for-bit.
+//! Candidates are evaluated *incrementally* along shared choice prefixes
+//! (see [`prefix`]): constraint unification and per-tensor shared-memory
+//! finishing are memoized across sibling candidates. The full
+//! per-candidate re-evaluation is [`Synthesizer::synthesize_reference`],
+//! which tests call directly to cross-check it bit-for-bit.
 //!
 //! Searches can be bounded two ways: a deterministic node budget
 //! ([`SynthesisOptions::node_budget`] / `HEXCUTE_SYNTH_BUDGET`) truncates the
 //! enumeration up front and reports [`SynthesisOutcome::Truncated`]
-//! bit-identically under every toggle, while a wall-clock [`CancelToken`]
+//! bit-identically on both walks, while a wall-clock [`CancelToken`]
 //! (deadline, watchdog, shutdown) is polled cooperatively at row granularity
 //! and aborts the walk with a typed [`SynthesisError::Cancelled`] — never a
 //! partial result.
@@ -44,8 +43,7 @@
 //! cut, and the winner is bit-identical to the exhaustive argmin. An
 //! optional deterministic beam ([`SynthesisOptions::beam_width`] /
 //! `HEXCUTE_SYNTH_BEAM`) truncates per-depth frontiers by bound rank —
-//! lossy, but deterministic. The process-wide kill
-//! switch is [`set_pruning`] / `HEXCUTE_DISABLE_PRUNE`.
+//! lossy, but deterministic.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -56,10 +54,8 @@ mod constraints;
 mod engine;
 mod error;
 pub mod hooks;
-mod incremental;
 mod options;
 pub mod prefix;
-mod pruning;
 mod smem;
 
 pub use bound::{PlanAlternatives, PrunedOutcome, SearchBounder, SearchSpace};
@@ -72,10 +68,8 @@ pub use engine::{SynthesisOutcome, Synthesizer};
 pub use error::{Result, SynthesisError};
 pub use hexcute_parallel::cancel::{CancelReason, CancelToken};
 pub use hooks::{set_synth_fault_hook, SynthFaultHook, SynthFaultPoint};
-pub use incremental::{incremental_enabled, set_incremental};
 pub use options::SynthesisOptions;
 pub use prefix::{PrefixStats, TensorSlotInterner};
-pub use pruning::{prune_enabled, set_pruning};
 pub use smem::{
     bank_conflict_degree, synthesize_smem_layouts, ConstraintError, ConstraintMode,
     LayoutConstraint,

@@ -32,36 +32,22 @@ pub struct SynthesisOptions {
     /// Allow non-power-of-two warp tilings of the C tile (the paper notes 28
     /// of 40 GEMM shapes pick non-power-of-two tiles on H100).
     pub allow_non_power_of_two_tiles: bool,
-    /// Evaluate candidates with the shared-prefix incremental search (memoized
-    /// constraint unification and shared-memory synthesis along shared choice
-    /// prefixes). When `false` — or when the process-wide switch is off, see
-    /// [`crate::set_incremental`] / `HEXCUTE_DISABLE_INCREMENTAL` — every
-    /// candidate is re-evaluated from scratch (the pre-PR-2 reference
-    /// behaviour). Both paths produce bit-identical candidate lists.
-    pub incremental: bool,
     /// Deterministic node-count budget for the search: at most this many
     /// selections (leaves of the choice tree) are evaluated, truncating the
     /// deterministic enumeration *before* the walk starts. A truncated
     /// search reports `SynthesisOutcome::Truncated` with the best candidates
-    /// found so far — bit-identical under every toggle, unlike
-    /// wall-clock cancellation which yields typed errors only. `None` (the
+    /// found so far — bit-identical across the incremental walk and the
+    /// reference, unlike wall-clock cancellation which yields typed errors
+    /// only. `None` (the
     /// default) searches exhaustively; the environment default comes from
     /// `HEXCUTE_SYNTH_BUDGET` (unset or `0` means unbudgeted).
     pub node_budget: Option<usize>,
-    /// Prune the search with branch-and-bound: cut subtrees whose admissible
-    /// lower bound (from [`crate::SearchBounder`]) cannot beat the incumbent
-    /// best score. Pruning is *lossless* — the winning candidate and its
-    /// score are bit-identical to exhaustive search — so, like
-    /// `incremental`, this toggle is excluded from the stable hash. The
-    /// process-wide kill switch is [`crate::set_pruning`] /
-    /// `HEXCUTE_DISABLE_PRUNE`; the compiler prunes only when both are on.
-    pub prune: bool,
     /// Deterministic beam width for the pruned search: at each choice depth,
     /// keep only the `width` distinct prefixes with the best completion
     /// bounds (ties broken by enumeration order) before the walk starts.
     /// Unlike exact branch-and-bound this is *lossy* — the winner may differ
     /// from exhaustive search — so a set beam width participates in the
-    /// stable hash. It is still bit-identical across toggles. `None` (the
+    /// stable hash. It is still deterministic. `None` (the
     /// default) disables the beam; the environment
     /// default comes from `HEXCUTE_SYNTH_BEAM` (unset or `0` means no beam).
     pub beam_width: Option<usize>,
@@ -104,9 +90,7 @@ impl Default for SynthesisOptions {
             force_row_major_smem: false,
             disable_swizzles: false,
             allow_non_power_of_two_tiles: true,
-            incremental: true,
             node_budget: env_node_budget(),
-            prune: true,
             beam_width: env_beam_width(),
         }
     }
@@ -133,11 +117,6 @@ impl SynthesisOptions {
     /// * Fields that change which candidates exist or how they rank
     ///   (instruction allowances, `max_candidates`, the ablation switches)
     ///   all participate.
-    /// * `incremental` and `prune` are **deliberately excluded**: the
-    ///   incremental and branch-and-bound walks are cross-checked
-    ///   bit-for-bit against the exhaustive reference, so they cannot change
-    ///   the winning candidate — hashing them would only fragment the cache
-    ///   across toggles.
     /// * `node_budget` participates **only when set**: a budgeted search may
     ///   return different (truncated) candidates, so budgeted artifacts must
     ///   never alias full-search artifacts — while the unbudgeted hash stays
@@ -188,12 +167,7 @@ mod tests {
         let o = SynthesisOptions::default();
         assert!(o.allow_ldmatrix && o.allow_cp_async && o.allow_tma && o.allow_wgmma);
         assert!(!o.force_scalar_copies);
-        assert!(o.incremental);
         assert!(o.max_candidates >= 16);
-        assert!(
-            o.prune,
-            "exact branch-and-bound is lossless, so it defaults on"
-        );
     }
 
     #[test]
@@ -215,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn beam_width_fragments_the_stable_hash_but_prune_does_not() {
+    fn beam_width_fragments_the_stable_hash() {
         fn fp(o: &SynthesisOptions) -> u64 {
             let mut h = std::hash::DefaultHasher::new();
             o.hash_stable(&mut h);
@@ -226,15 +200,6 @@ mod tests {
             beam_width: None,
             ..SynthesisOptions::default()
         };
-        let unpruned = SynthesisOptions {
-            prune: false,
-            ..base.clone()
-        };
-        assert_eq!(
-            fp(&base),
-            fp(&unpruned),
-            "exact B&B is lossless, so the prune toggle never fragments"
-        );
         let beamed = SynthesisOptions {
             beam_width: Some(2),
             ..base.clone()

@@ -2,9 +2,10 @@
 //!
 //! The DFS search tree of Section IV-B varies one instruction choice at a
 //! time, so sibling candidates share a *prefix* of choices: the same MMA
-//! atom and the same copy plan for most edges. The reference path re-unifies
-//! shared-memory constraints and re-selects swizzles from scratch for every
-//! candidate; this module instead treats each selection as a path through a
+//! atom and the same copy plan for most edges. The reference
+//! ([`Synthesizer::synthesize_reference`]) re-unifies shared-memory
+//! constraints and re-selects swizzles from scratch for every candidate;
+//! this module instead treats each selection as a path through a
 //! prefix tree, carrying per-shared-tensor constraint state down the path
 //! (each edge unifies only the constraint of the newly decided copy), and
 //! memoizes the expensive per-tensor finishing step (materialization +
@@ -27,7 +28,7 @@
 //! [`ConstraintError`] code — the `String` reason
 //! only materializes at the API boundary.
 //!
-//! The results are bit-identical to the reference path: the same constraints
+//! The results are bit-identical to the reference: the same constraints
 //! are unified in the same (program) order and the same finishing code runs
 //! on cache misses. The equivalence is cross-checked by
 //! `tests/incremental_vs_reference.rs` and the randomized kernel sweep in

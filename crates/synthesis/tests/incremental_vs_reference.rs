@@ -9,19 +9,20 @@ use hexcute_ir::{KernelBuilder, Program};
 use hexcute_layout::Layout;
 use hexcute_synthesis::{Candidate, SynthesisOptions, Synthesizer};
 
-fn synthesize_with(program: &Program, arch: &GpuArch, incremental: bool) -> Vec<Candidate> {
-    let options = SynthesisOptions {
-        incremental,
-        ..SynthesisOptions::default()
-    };
-    Synthesizer::new(program, arch, options)
-        .synthesize()
-        .unwrap()
+/// Both walks of one synthesizer, each with its witness: the incremental
+/// walk reports its prefix-sharing stats, the reference builds no prefix
+/// tree.
+fn both_walks(synth: &Synthesizer<'_>) -> (Vec<Candidate>, Vec<Candidate>) {
+    let (incremental, stats) = synth.synthesize_outcome(None).unwrap();
+    assert!(stats.is_some(), "the incremental walk reports its stats");
+    let (reference, stats) = synth.synthesize_reference(None).unwrap();
+    assert!(stats.is_none(), "the reference builds no prefix tree");
+    (incremental.into_candidates(), reference.into_candidates())
 }
 
 fn assert_paths_agree(program: &Program, arch: &GpuArch) {
-    let reference = synthesize_with(program, arch, false);
-    let incremental = synthesize_with(program, arch, true);
+    let synth = Synthesizer::new(program, arch, SynthesisOptions::default());
+    let (incremental, reference) = both_walks(&synth);
     assert_eq!(
         reference.len(),
         incremental.len(),
@@ -99,7 +100,7 @@ fn copy_roundtrip_candidates_are_bit_identical() {
 fn ablation_option_sets_agree_too() {
     let program = staged_gemm(64, 64, 32);
     let arch = GpuArch::a100();
-    for base in [
+    for options in [
         SynthesisOptions::scalar_fallback(),
         SynthesisOptions::triton_smem_layout(),
         SynthesisOptions {
@@ -107,26 +108,7 @@ fn ablation_option_sets_agree_too() {
             ..SynthesisOptions::default()
         },
     ] {
-        let reference = Synthesizer::new(
-            &program,
-            &arch,
-            SynthesisOptions {
-                incremental: false,
-                ..base.clone()
-            },
-        )
-        .synthesize()
-        .unwrap();
-        let incremental = Synthesizer::new(
-            &program,
-            &arch,
-            SynthesisOptions {
-                incremental: true,
-                ..base
-            },
-        )
-        .synthesize()
-        .unwrap();
+        let (incremental, reference) = both_walks(&Synthesizer::new(&program, &arch, options));
         assert_eq!(reference, incremental);
     }
 }
@@ -135,17 +117,16 @@ fn ablation_option_sets_agree_too() {
 fn small_max_candidates_returns_the_same_preferred_candidate() {
     let program = staged_gemm(64, 64, 32);
     let arch = GpuArch::a100();
-    let full = synthesize_with(&program, &arch, true);
+    let full = Synthesizer::new(&program, &arch, SynthesisOptions::default())
+        .synthesize()
+        .unwrap();
     assert!(full.len() > 1);
-    for incremental in [false, true] {
-        let options = SynthesisOptions {
-            max_candidates: 1,
-            incremental,
-            ..SynthesisOptions::default()
-        };
-        let capped = Synthesizer::new(&program, &arch, options)
-            .synthesize()
-            .unwrap();
+    let options = SynthesisOptions {
+        max_candidates: 1,
+        ..SynthesisOptions::default()
+    };
+    let (incremental, reference) = both_walks(&Synthesizer::new(&program, &arch, options));
+    for capped in [incremental, reference] {
         assert_eq!(capped.len(), 1);
         assert_eq!(capped[0], full[0]);
     }
